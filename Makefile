@@ -6,7 +6,7 @@ GO ?= go
 BENCH_MAX_ATOMS ?= 2000
 BENCH_REPEATS ?= 3
 
-.PHONY: build test lint lint-json lint-self check check-race chaos-smoke trace-smoke serve-smoke soak soak-short bench-json bench-gate
+.PHONY: build test lint lint-json lint-self check check-race chaos-smoke trace-smoke serve-smoke soak soak-short bench-json bench-gate perfbench-check
 
 build:
 	$(GO) build ./...
@@ -97,6 +97,18 @@ bench-json:
 # deterministic ops/model/histogram drift.
 bench-gate: bench-json
 	$(GO) run ./cmd/benchdiff BENCH_seed.json BENCH_head.json
+
+# perfbench-check builds, vets and tests the nested perfbench module
+# (the benchmark BENCHMARK.json runs) offline, with the module settings
+# perfbench/run.sh uses. Root `go build ./...` does not see the nested
+# module, so an API change that breaks the benchmark fails here instead.
+PERFBENCH_GOENV = GOFLAGS=-mod=mod GOWORK=off GOTOOLCHAIN=local GOPROXY=off
+
+perfbench-check:
+	cd perfbench && export $(PERFBENCH_GOENV) && \
+		$(GO) build -o ../.bench_build/perfbench . && \
+		$(GO) vet ./... && \
+		$(GO) test -count=1 ./...
 
 # check-race is the quick race pass: short mode skips the figure
 # sweeps, PB grid solves, and calibration probes (the numerics they

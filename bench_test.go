@@ -134,7 +134,7 @@ func BenchmarkEpolNaive(b *testing.B) {
 	}
 }
 
-func BenchmarkRunCilk12(b *testing.B) {
+func BenchmarkCilk12(b *testing.B) {
 	sys := benchSystem(b, 3000)
 	pool := sched.New(12)
 	defer pool.Close()

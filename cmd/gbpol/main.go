@@ -179,10 +179,11 @@ func main() {
 			res, err = sys.Run(gb.RunSpec{Processes: *bigP, ThreadsPerProcess: *smallP, Obs: rec})
 		}
 	case "naive":
+		sw := perf.StartTimer()
 		radii, bornOps := sys.NaiveBornRadiiR6()
 		e, epolOps := sys.NaiveEpol(radii)
 		res = &gb.Result{Epol: e, Born: radii, Processes: 1, ThreadsPerProcess: 1,
-			PerCoreOps: []int64{bornOps + epolOps}}
+			PerCoreOps: []int64{bornOps + epolOps}, Wall: sw.Elapsed()}
 	default:
 		fatal(fmt.Errorf("unknown driver %q", *driver))
 	}

@@ -37,8 +37,8 @@ func main() {
 	fmt.Println("  ε     Epol (kcal/mol)   error %   interactions   octree bytes")
 	for _, eps := range []float64{0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1.2, 1.5} {
 		params := gb.DefaultParams()
-		params.EpsBorn = eps
-		params.EpsEpol = eps
+		params.Accuracy.EpsBorn = eps
+		params.Accuracy.EpsEpol = eps
 		sys, err := gb.NewSystem(mol, surf, params)
 		if err != nil {
 			log.Fatal(err)

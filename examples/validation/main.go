@@ -52,8 +52,8 @@ func main() {
 	// Rung 3: octree-approximated GB at increasing ε.
 	for _, eps := range []float64{0.1, 0.5, 0.9} {
 		params := gb.DefaultParams()
-		params.EpsBorn = eps
-		params.EpsEpol = eps
+		params.Accuracy.EpsBorn = eps
+		params.Accuracy.EpsEpol = eps
 		s2, err := gb.NewSystem(mol, surf, params)
 		if err != nil {
 			log.Fatal(err)

@@ -17,6 +17,16 @@ import (
 	"gbpolar/internal/surface"
 )
 
+// mustRun runs the spec on s and fails the test on error.
+func mustRun(t testing.TB, s *gb.System, spec gb.RunSpec) *gb.Result {
+	t.Helper()
+	res, err := s.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestPipelineFromPQRFile drives the full stack from a file on disk:
 // generate → save as PQR → load → surface → octrees → all four drivers →
 // identical energies.
@@ -43,18 +53,18 @@ func TestPipelineFromPQRFile(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	serial := sys.RunSerial()
+	serial := mustRun(t, sys, gb.RunSpec{})
 	if serial.Epol >= 0 {
 		t.Fatalf("Epol = %v", serial.Epol)
 	}
 	pool := sched.New(4)
-	cilk := sys.RunCilk(pool)
+	cilk := mustRun(t, sys, gb.RunSpec{Pool: pool})
 	pool.Close()
-	mpi, err := sys.RunMPI(6)
+	mpi, err := sys.Run(gb.RunSpec{Processes: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hyb, err := sys.RunHybrid(2, 3)
+	hyb, err := sys.Run(gb.RunSpec{Processes: 2, ThreadsPerProcess: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +89,7 @@ func TestPipelineFromPQRFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rel := math.Abs(sysO.RunSerial().Epol-serial.Epol) / math.Abs(serial.Epol); rel > 1e-3 {
+	if rel := math.Abs(mustRun(t, sysO, gb.RunSpec{}).Epol-serial.Epol) / math.Abs(serial.Epol); rel > 1e-3 {
 		t.Errorf("file round trip changed energy by %v", rel)
 	}
 }
@@ -103,7 +113,7 @@ func TestModelLadderConsistency(t *testing.T) {
 	}
 	radii, _ := sys.NaiveBornRadiiR6()
 	exact, _ := sys.NaiveEpol(radii)
-	oct := sys.RunSerial().Epol
+	oct := mustRun(t, sys, gb.RunSpec{}).Epol
 	for name, e := range map[string]float64{"pb": pbRes.Epol, "gb": exact, "oct": oct} {
 		if e >= 0 {
 			t.Errorf("%s energy %v not negative", name, e)
@@ -175,5 +185,5 @@ func epolOf(t *testing.T, m *molecule.Molecule) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sys.RunSerial().Epol
+	return mustRun(t, sys, gb.RunSpec{}).Epol
 }

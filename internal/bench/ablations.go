@@ -43,11 +43,11 @@ func ablationDivision(o Options) (*Table, error) {
 		return nil, err
 	}
 	for _, P := range []int{1, 2, 4, 8, 12} {
-		nodeRes, err := ref.sys.RunMPI(P)
+		nodeRes, err := ref.sys.Run(gb.RunSpec{Processes: P})
 		if err != nil {
 			return nil, err
 		}
-		atomRes, err := atomEntry.sys.RunMPI(P)
+		atomRes, err := atomEntry.sys.Run(gb.RunSpec{Processes: P})
 		if err != nil {
 			return nil, err
 		}
@@ -85,20 +85,29 @@ func ablationMath(o Options) (*Table, error) {
 		return nil, err
 	}
 	// Repeat the serial run a few times and take the best wall time.
-	best := func(sys *gb.System) (time.Duration, float64) {
+	best := func(sys *gb.System) (time.Duration, float64, error) {
 		bestD := time.Duration(math.MaxInt64)
 		var e float64
 		for i := 0; i < 3; i++ {
-			r := sys.RunSerial()
+			r, err := sys.Run(gb.RunSpec{})
+			if err != nil {
+				return 0, 0, err
+			}
 			if r.Wall < bestD {
 				bestD = r.Wall
 			}
 			e = r.Epol
 		}
-		return bestD, e
+		return bestD, e, nil
 	}
-	exactD, exactE := best(exactEntry.sys)
-	approxD, approxE := best(approxEntry.sys)
+	exactD, exactE, err := best(exactEntry.sys)
+	if err != nil {
+		return nil, err
+	}
+	approxD, approxE, err := best(approxEntry.sys)
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{
 		ID:     "Ablation: approximate math",
 		Title:  "Fast inverse-sqrt/exp kernels vs exact math (serial, measured wall time)",
@@ -133,7 +142,10 @@ func ablationLeaf(o Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res := sys.RunSerial()
+		res, err := sys.Run(gb.RunSpec{})
+		if err != nil {
+			return nil, err
+		}
 		b, err := priceOct(o, sys, res)
 		if err != nil {
 			return nil, err
@@ -162,12 +174,15 @@ func ablationBinning(o Options) (*Table, error) {
 	}
 	for _, binEps := range []float64{0.9, 0.4, 0.2, 0.1, 0.05} {
 		params := gb.DefaultParams()
-		params.EpsBin = binEps
+		params.Accuracy.BinWidth = binEps
 		entry, err := systemFor(mol, params)
 		if err != nil {
 			return nil, err
 		}
-		res := entry.sys.RunSerial()
+		res, err := entry.sys.Run(gb.RunSpec{})
+		if err != nil {
+			return nil, err
+		}
 		t.AddRow(fmt.Sprintf("%.2f", binEps),
 			fmt.Sprintf("%+.4f", 100*(res.Epol-naive.Energy)/math.Abs(naive.Energy)),
 			fmt.Sprintf("%d", res.TotalOps()))
@@ -183,11 +198,11 @@ func ablationStealing(o Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	hyb, err := entry.sys.RunHybrid(1, 12) // one rank, 12 stealing workers
+	hyb, err := entry.sys.Run(gb.RunSpec{Processes: 1, ThreadsPerProcess: 12}) // one rank, 12 stealing workers
 	if err != nil {
 		return nil, err
 	}
-	mpi, err := entry.sys.RunMPI(12) // 12 static single-thread ranks
+	mpi, err := entry.sys.Run(gb.RunSpec{Processes: 12}) // 12 static single-thread ranks
 	if err != nil {
 		return nil, err
 	}
@@ -264,7 +279,7 @@ func ablationDynamic(o Options) (*Table, error) {
 		return float64(maxOps) * float64(n) / float64(sum)
 	}
 	for _, computeRanks := range []int{4, 8, 11} {
-		static, err := entry.sys.RunMPI(computeRanks)
+		static, err := entry.sys.Run(gb.RunSpec{Processes: computeRanks})
 		if err != nil {
 			return nil, err
 		}
@@ -313,7 +328,10 @@ func ablationIntegral(o Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res := entry.sys.RunSerial()
+		res, err := entry.sys.Run(gb.RunSpec{})
+		if err != nil {
+			return nil, err
+		}
 		mean := 0.0
 		for _, r := range res.Born {
 			mean += r
@@ -373,7 +391,7 @@ func ablationDistData(o Options) (*Table, error) {
 		Header: []string{"Layout", "Mem/rank", "P2P bytes", "Modeled time", "Epol err %"},
 	}
 	const P = 12
-	repl, err := entry.sys.RunMPI(P)
+	repl, err := entry.sys.Run(gb.RunSpec{Processes: P})
 	if err != nil {
 		return nil, err
 	}

@@ -31,12 +31,15 @@ func runOctPrograms(e molecule.BenchmarkEntry, params gb.Params) (*octRosterRun,
 	}
 	run := &octRosterRun{entry: e, sys: entry}
 	pool := sched.New(12)
-	run.cilk = entry.sys.RunCilk(pool)
+	run.cilk, err = entry.sys.Run(gb.RunSpec{Pool: pool})
 	pool.Close()
-	if run.mpi, err = entry.sys.RunMPI(12); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	if run.hybrid, err = entry.sys.RunHybrid(2, 6); err != nil {
+	if run.mpi, err = entry.sys.Run(gb.RunSpec{Processes: 12}); err != nil {
+		return nil, err
+	}
+	if run.hybrid, err = entry.sys.Run(gb.RunSpec{Processes: 2, ThreadsPerProcess: 6}); err != nil {
 		return nil, err
 	}
 	return run, nil
@@ -236,7 +239,7 @@ func fig10(o Options) (*Table, error) {
 	entries := roster(o.MaxAtoms)
 	for _, eps := range []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9} {
 		params := gb.DefaultParams()
-		params.EpsEpol = eps
+		params.Accuracy.EpsEpol = eps
 		var errs []float64
 		var sumT, maxT float64
 		for _, e := range entries {
@@ -245,7 +248,7 @@ func fig10(o Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := entry.sys.RunHybrid(2, 6)
+			res, err := entry.sys.Run(gb.RunSpec{Processes: 2, ThreadsPerProcess: 6})
 			if err != nil {
 				return nil, err
 			}

@@ -57,13 +57,7 @@ type scaledRun struct {
 }
 
 func btvRun(o Options, sys *gb.System, fullAtoms int, P, p int, seed int64) (*scaledRun, error) {
-	var res *gb.Result
-	var err error
-	if p == 1 {
-		res, err = sys.RunMPI(P)
-	} else {
-		res, err = sys.RunHybrid(P, p)
-	}
+	res, err := sys.Run(gb.RunSpec{Processes: P, ThreadsPerProcess: p})
 	if err != nil {
 		return nil, err
 	}

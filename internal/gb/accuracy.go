@@ -36,13 +36,11 @@ const (
 // depend on Order), by internal/tune's search, and by the serving
 // layer's job envelope.
 //
-// The zero value means "unset": Params falls back to its deprecated
-// EpsBorn/EpsEpol/EpsBin fields with the calibrated OrderDipole default,
-// bitwise identical to the pre-Accuracy behavior. A non-zero Accuracy
-// wins over the deprecated fields; its own zero fields take the
-// calibrated defaults (eps 0.9, quadrature degree 1, derived bin width)
-// EXCEPT Order, which is explicit: an explicit Accuracy with Order 0 is
-// a genuine monopole request.
+// The zero value means "unset" and resolves to DefaultAccuracy(). A
+// non-zero Accuracy's own zero fields take the calibrated defaults (eps
+// 0.9, quadrature degree 1, derived bin width) EXCEPT Order, which is
+// explicit: an explicit Accuracy with Order 0 is a genuine monopole
+// request.
 type Accuracy struct {
 	// EpsBorn is the ε of the Born-radii far-field criterion (Fig. 2).
 	// 0 means the calibrated default 0.9.
@@ -73,14 +71,12 @@ type Accuracy struct {
 
 // DefaultAccuracy is the calibrated default point: ε = 0.9 for both
 // phases, derived bin width, Dunavant degree 1, dipole (p = 1) far
-// field. A system built at DefaultAccuracy computes bitwise-identical
-// results to one built with legacy DefaultParams.
+// field. DefaultParams carries it.
 func DefaultAccuracy() Accuracy {
 	return Accuracy{EpsBorn: 0.9, EpsEpol: 0.9, QuadOrder: 1, Order: OrderDipole}
 }
 
-// IsZero reports the unset state (fall back to the deprecated Params
-// fields).
+// IsZero reports the unset state (resolves to DefaultAccuracy).
 func (a Accuracy) IsZero() bool { return a == Accuracy{} }
 
 // normalized fills the unset (zero) fields with the calibrated defaults.
@@ -124,10 +120,10 @@ func (a Accuracy) Validate() error {
 }
 
 // Relaxed returns the point with the eps pair scaled by factor (> 1
-// loosens). This is the Accuracy-space image of the deprecated
-// WithRelaxedEps / supervise.Spec.StartEpsFactor knob: relaxing a point
-// by factor and running it is bitwise identical to running the point and
-// relaxing the system.
+// loosens). WithAccuracy(s.Params.Accuracy.Relaxed(factor)) is the
+// supervisor's accuracy-shedding knob (supervise.Spec.StartEpsFactor and
+// the scalar relax rung): the octrees and aggregates do not depend on ε,
+// so only the traversal thresholds change.
 func (a Accuracy) Relaxed(factor float64) Accuracy {
 	if factor <= 1 {
 		return a
@@ -157,53 +153,29 @@ func (a Accuracy) OpeningFactor(scale float64) float64 {
 	return epolFarFactorOrder(n.EpsEpol, scale, n.Order)
 }
 
-// EffectiveAccuracy resolves the accuracy point the params describe: the
-// explicit Accuracy if set, else the deprecated EpsBorn/EpsEpol/EpsBin
-// fields at the calibrated OrderDipole default.
-func (p Params) EffectiveAccuracy() Accuracy {
-	if p.Accuracy.IsZero() {
-		return Accuracy{
-			EpsBorn:   p.EpsBorn,
-			EpsEpol:   p.EpsEpol,
-			BinWidth:  p.EpsBin,
-			QuadOrder: 1,
-			Order:     OrderDipole,
-		}
-	}
-	a := p.Accuracy.normalized()
-	return a
-}
-
 // order is the effective expansion order of this system's far fields.
 // Internal System views built by struct literal (bundle and complex
-// views) copy a normalized Params, so the Accuracy field is always
-// populated there; the IsZero fallback keeps hand-rolled test fixtures
-// on the calibrated default.
-func (s *System) order() int {
-	if s.Params.Accuracy.IsZero() {
-		return OrderDipole
-	}
-	return s.Params.Accuracy.Order
-}
+// views) copy a normalized Params.
+func (s *System) order() int { return s.Params.Accuracy.Order }
 
 // bornBeta is the order-aware Born far-field threshold of this system.
 func (s *System) bornBeta() float64 {
-	return farBetaOrder(s.Params.EpsBorn, s.order())
+	return farBetaOrder(s.Params.Accuracy.EpsBorn, s.order())
 }
 
 // epolFactor is the order-aware energy far-field threshold multiplier.
 func (s *System) epolFactor() float64 {
-	return epolFarFactorOrder(s.Params.EpsEpol, s.Params.OpeningScale, s.order())
+	return epolFarFactorOrder(s.Params.Accuracy.EpsEpol, s.Params.OpeningScale, s.order())
 }
 
 // WithAccuracy returns a copy of the system running at the given
-// accuracy point. Like WithRelaxedEps the copy is shallow — octrees and
-// first-order aggregates do not depend on the accuracy knobs — except
-// that raising the order to quadrupole builds the second-moment
-// aggregates if the system does not have them yet. QuadOrder cannot be
-// honored on an existing system (the surface is prebuilt); it is
-// recorded but only NewSystem callers and tune.Select act on it. A zero
-// acc returns the system unchanged.
+// accuracy point. The copy is shallow — octrees and first-order
+// aggregates do not depend on the accuracy knobs — except that raising
+// the order to quadrupole builds the second-moment aggregates if the
+// system does not have them yet. QuadOrder cannot be honored on an
+// existing system (the surface is prebuilt); it is recorded but only
+// NewSystem callers and tune.Select act on it. A zero acc returns the
+// system unchanged.
 func (s *System) WithAccuracy(acc Accuracy) (*System, error) {
 	if acc.IsZero() {
 		return s, nil
@@ -214,9 +186,6 @@ func (s *System) WithAccuracy(acc Accuracy) (*System, error) {
 	acc = acc.normalized()
 	c := *s
 	c.Params.Accuracy = acc
-	c.Params.EpsBorn = acc.EpsBorn
-	c.Params.EpsEpol = acc.EpsEpol
-	c.Params.EpsBin = acc.BinWidth
 	if acc.Order == OrderQuadrupole && c.nodeMoment2 == nil && c.TQ != nil {
 		c.nodeMoment2 = buildQuadMoments(c.TQ, c.Surf.Points, c.nodeNormal, c.nodeMoment)
 	}

@@ -9,26 +9,32 @@ import (
 	"gbpolar/internal/surface"
 )
 
-// TestAccuracyResolution pins how Params resolve to an effective
-// accuracy point: a zero Accuracy falls back to the deprecated ε fields
-// at the calibrated dipole default; a non-zero Accuracy wins and its own
-// zero fields take the defaults — except Order, where 0 means monopole.
+// TestAccuracyResolution pins how NewSystem resolves Params.Accuracy: a
+// zero Accuracy becomes DefaultAccuracy; a non-zero Accuracy's own zero
+// fields take the defaults — except Order, where 0 means monopole.
 func TestAccuracyResolution(t *testing.T) {
-	legacy := DefaultParams()
-	legacy.EpsBorn, legacy.EpsEpol, legacy.EpsBin = 0.7, 0.5, 0.1
-	got := legacy.EffectiveAccuracy()
-	want := Accuracy{EpsBorn: 0.7, EpsEpol: 0.5, BinWidth: 0.1, QuadOrder: 1, Order: OrderDipole}
-	if got != want {
-		t.Errorf("legacy resolution: %+v, want %+v", got, want)
+	m := molecule.Exactly(molecule.Globule("accres", 120, 5), 120, 5)
+	surf, err := surface.Build(m, surface.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	p := DefaultParams()
-	p.EpsBorn = 0.1 // the deprecated field must lose
-	p.Accuracy = Accuracy{EpsEpol: 0.5}
-	got = p.EffectiveAccuracy()
-	want = Accuracy{EpsBorn: 0.9, EpsEpol: 0.5, QuadOrder: 1, Order: OrderMonopole}
-	if got != want {
-		t.Errorf("explicit resolution: %+v, want %+v", got, want)
+	for _, tc := range []struct {
+		name     string
+		acc      Accuracy
+		resolved Accuracy
+	}{
+		{"zero", Accuracy{}, DefaultAccuracy()},
+		{"explicit", Accuracy{EpsEpol: 0.5}, Accuracy{EpsBorn: 0.9, EpsEpol: 0.5, QuadOrder: 1, Order: OrderMonopole}},
+	} {
+		p := DefaultParams()
+		p.Accuracy = tc.acc
+		s, err := NewSystem(m, surf, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Params.Accuracy; got != tc.resolved {
+			t.Errorf("%s resolution: %+v, want %+v", tc.name, got, tc.resolved)
+		}
 	}
 
 	if d := DefaultAccuracy(); d.Order != OrderDipole || d.EpsBorn != 0.9 || d.QuadOrder != 1 {
@@ -39,16 +45,18 @@ func TestAccuracyResolution(t *testing.T) {
 	}
 }
 
-// TestAccuracyDefaultBitwiseCompatible is the CLI-migration pin: a system
-// built with an explicit default Accuracy computes bitwise-identical
-// results to one built on the deprecated fields alone.
+// TestAccuracyDefaultBitwiseCompatible pins the zero-value contract: a
+// system built with a zero Accuracy computes bitwise-identical results
+// to one built with an explicit default point.
 func TestAccuracyDefaultBitwiseCompatible(t *testing.T) {
 	m := molecule.Exactly(molecule.Globule("accdef", 300, 17), 300, 17)
 	surf, err := surface.Build(m, surface.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldSys, err := NewSystem(m, surf, DefaultParams())
+	zero := DefaultParams()
+	zero.Accuracy = Accuracy{}
+	oldSys, err := NewSystem(m, surf, zero)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +66,7 @@ func TestAccuracyDefaultBitwiseCompatible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := oldSys.RunSerial(), newSys.RunSerial()
+	a, b := mustRun(t, oldSys, RunSpec{}), mustRun(t, newSys, RunSpec{})
 	if math.Float64bits(a.Epol) != math.Float64bits(b.Epol) {
 		t.Errorf("explicit default Accuracy changed Epol: %v vs %v", b.Epol, a.Epol)
 	}
@@ -95,16 +103,16 @@ func TestAccuracyValidate(t *testing.T) {
 	}
 }
 
-// TestParamsRejectEpsBinAboveEpsEpol pins the PR 8 small fix: the
-// deprecated EpsBin field is subject to the same bound as
-// Accuracy.BinWidth — bins wider than the energy criterion silently
-// degrade the Fig. 3 histogram bound and must be rejected, not absorbed.
+// TestParamsRejectEpsBinAboveEpsEpol pins that Params.Validate and
+// NewSystem apply the Accuracy.BinWidth bound: bins wider than the
+// energy criterion silently degrade the Fig. 3 histogram bound and must
+// be rejected, not absorbed.
 func TestParamsRejectEpsBinAboveEpsEpol(t *testing.T) {
 	p := DefaultParams()
-	p.EpsEpol, p.EpsBin = 0.9, 1.5
+	p.Accuracy.EpsEpol, p.Accuracy.BinWidth = 0.9, 1.5
 	err := p.Validate()
 	if err == nil {
-		t.Fatal("EpsBin > EpsEpol passed Validate")
+		t.Fatal("BinWidth > EpsEpol passed Validate")
 	}
 	if !strings.Contains(err.Error(), "EpsEpol") {
 		t.Errorf("rejection does not name the bound: %v", err)
@@ -151,7 +159,7 @@ func TestRunSpecAccuracyOverrideMatchesDedicatedSystem(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct := dedicated.RunSerial()
+		direct := mustRun(t, dedicated, RunSpec{})
 		if math.Float64bits(over.Epol) != math.Float64bits(direct.Epol) {
 			t.Errorf("override at %+v: Epol %v, dedicated system %v", acc, over.Epol, direct.Epol)
 		}
@@ -172,7 +180,7 @@ func TestWithAccuracyBuildsMissingMoments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline := base.RunSerial()
+	baseline := mustRun(t, base, RunSpec{})
 
 	acc := Accuracy{EpsBorn: 0.9, EpsEpol: 0.9, QuadOrder: 1, Order: OrderQuadrupole}
 	up, err := base.WithAccuracy(acc)
@@ -185,13 +193,13 @@ func TestWithAccuracyBuildsMissingMoments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, want := up.RunSerial(), dedicated.RunSerial()
+	got, want := mustRun(t, up, RunSpec{}), mustRun(t, dedicated, RunSpec{})
 	if math.Float64bits(got.Epol) != math.Float64bits(want.Epol) {
 		t.Errorf("WithAccuracy quadrupole Epol %v, dedicated %v", got.Epol, want.Epol)
 	}
 
 	// The original system is untouched.
-	again := base.RunSerial()
+	again := mustRun(t, base, RunSpec{})
 	if math.Float64bits(again.Epol) != math.Float64bits(baseline.Epol) {
 		t.Errorf("WithAccuracy perturbed the receiver: %v vs %v", again.Epol, baseline.Epol)
 	}

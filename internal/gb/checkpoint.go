@@ -392,9 +392,10 @@ func (s *System) validateResume(ck *Checkpoint) error {
 	// slack absorbs float noise from normalized()/Relaxed round trips —
 	// real relaxations are ≥1.5×. Zero eps: v1 snapshot, unrecorded.
 	const slack = 1 + 1e-9
-	if ck.EpsBorn > s.Params.EpsBorn*slack || ck.EpsEpol > s.Params.EpsEpol*slack {
+	acc := s.Params.Accuracy
+	if ck.EpsBorn > acc.EpsBorn*slack || ck.EpsEpol > acc.EpsEpol*slack {
 		return fmt.Errorf("gb: checkpoint was computed at looser ε (born %.3g, epol %.3g) than this system requires (born %.3g, epol %.3g): resuming would silently degrade the result",
-			ck.EpsBorn, ck.EpsEpol, s.Params.EpsBorn, s.Params.EpsEpol)
+			ck.EpsBorn, ck.EpsEpol, acc.EpsBorn, acc.EpsEpol)
 	}
 	want := 0
 	switch ck.Phase {
@@ -416,31 +417,4 @@ func (s *System) validateResume(ck *Checkpoint) error {
 		return fmt.Errorf("gb: %s checkpoint payload has %d values, want %d", ck.Phase, len(ck.Payload), want)
 	}
 	return nil
-}
-
-// WithRelaxedEps returns a copy of the system whose far-field criteria
-// use factor-times-relaxed approximation parameters (EpsBorn and
-// EpsEpol). The octrees and precomputed data do not depend on ε, so the
-// copy is shallow and shares them; only the traversal thresholds change.
-// This is the supervisor's accuracy-shedding knob: under fault pressure
-// a relaxed ε trades bounded accuracy for completion (the work/precision
-// trade Knepley & Bardhan analyze), and the relaxation is priced into
-// the returned ErrorBound by the supervisor.
-//
-// Deprecated: use WithAccuracy(s.Params.Accuracy.Relaxed(factor)); this
-// wrapper remains for the legacy supervisor rung and behaves identically.
-func (s *System) WithRelaxedEps(factor float64) *System {
-	if factor <= 1 {
-		return s
-	}
-	c := *s
-	c.Params.EpsBorn *= factor
-	c.Params.EpsEpol *= factor
-	if !c.Params.Accuracy.IsZero() {
-		// Keep the normalized mirror in sync (NewSystem always populates
-		// it) so order() and the Accuracy readers see the relaxed point.
-		c.Params.Accuracy.EpsBorn = c.Params.EpsBorn
-		c.Params.Accuracy.EpsEpol = c.Params.EpsEpol
-	}
-	return &c
 }

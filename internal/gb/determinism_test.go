@@ -43,7 +43,7 @@ func TestCilkBitwiseDeterministic(t *testing.T) {
 		run := func() *Result {
 			pool := sched.New(p)
 			defer pool.Close()
-			return s.RunCilk(pool)
+			return mustRun(t, s, RunSpec{Pool: pool})
 		}
 		a, b := run(), run()
 		bitwiseSame(t, "cilk", a, b)
@@ -57,22 +57,22 @@ func TestDistributedBitwiseDeterministic(t *testing.T) {
 	s := buildSys(t, 500, DefaultParams())
 
 	for _, P := range []int{2, 5} {
-		a, err := s.RunMPI(P)
+		a, err := s.Run(RunSpec{Processes: P})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := s.RunMPI(P)
+		b, err := s.Run(RunSpec{Processes: P})
 		if err != nil {
 			t.Fatal(err)
 		}
 		bitwiseSame(t, "mpi", a, b)
 	}
 
-	ha, err := s.RunHybrid(2, 3)
+	ha, err := s.Run(RunSpec{Processes: 2, ThreadsPerProcess: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hb, err := s.RunHybrid(2, 3)
+	hb, err := s.Run(RunSpec{Processes: 2, ThreadsPerProcess: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,39 +56,7 @@ func buildQBundle(pts []surface.QPoint, leafSize, ord int) *qBundle {
 		pos[i] = q.Pos
 	}
 	b := &qBundle{tree: octree.Build(pos, leafSize), pts: pts}
-	b.normals = make([]geom.Vec3, b.tree.NumNodes())
-	b.moments = make([]geom.Mat3, b.tree.NumNodes())
-	for i := b.tree.NumNodes() - 1; i >= 0; i-- {
-		n := &b.tree.Nodes[i]
-		if n.Leaf {
-			var sum geom.Vec3
-			var mom geom.Mat3
-			for _, it := range b.tree.ItemsOf(int32(i)) {
-				q := &pts[it]
-				wn := q.Normal.Scale(q.Weight)
-				sum = sum.Add(wn)
-				addOuter(&mom, wn, q.Pos.Sub(n.Center))
-			}
-			b.normals[i] = sum
-			b.moments[i] = mom
-			continue
-		}
-		var sum geom.Vec3
-		var mom geom.Mat3
-		for _, c := range n.Children {
-			if c == octree.NoChild {
-				continue
-			}
-			sum = sum.Add(b.normals[c])
-			shift := b.tree.Nodes[c].Center.Sub(n.Center)
-			for k := 0; k < 9; k++ {
-				mom[k] += b.moments[c][k]
-			}
-			addOuter(&mom, b.normals[c], shift)
-		}
-		b.normals[i] = sum
-		b.moments[i] = mom
-	}
+	b.normals, b.moments = buildQNormals(b.tree, pts)
 	if ord == OrderQuadrupole {
 		b.moments2 = buildQuadMoments(b.tree, pts, b.normals, b.moments)
 	}

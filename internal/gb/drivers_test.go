@@ -25,9 +25,19 @@ func buildSys(t *testing.T, n int, params Params) *System {
 	return s
 }
 
-func TestRunSerial(t *testing.T) {
+// mustRun runs the spec and fails the test on error.
+func mustRun(t testing.TB, s *System, spec RunSpec) *Result {
+	t.Helper()
+	res, err := s.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+func TestSerialRun(t *testing.T) {
 	s := buildSys(t, 400, DefaultParams())
-	r := s.RunSerial()
+	r := mustRun(t, s, RunSpec{})
 	if r.Epol >= 0 {
 		t.Errorf("Epol = %v, must be negative", r.Epol)
 	}
@@ -42,12 +52,12 @@ func TestRunSerial(t *testing.T) {
 	}
 }
 
-func TestRunCilkMatchesSerial(t *testing.T) {
+func TestCilkMatchesSerial(t *testing.T) {
 	s := buildSys(t, 400, DefaultParams())
-	serial := s.RunSerial()
+	serial := mustRun(t, s, RunSpec{})
 	for _, p := range []int{1, 2, 4} {
 		pool := sched.New(p)
-		r := s.RunCilk(pool)
+		r := mustRun(t, s, RunSpec{Pool: pool})
 		pool.Close()
 		if math.Abs(r.Epol-serial.Epol)/math.Abs(serial.Epol) > 1e-12 {
 			t.Errorf("p=%d: Epol %v vs serial %v", p, r.Epol, serial.Epol)
@@ -70,9 +80,9 @@ func TestRunCilkMatchesSerial(t *testing.T) {
 
 func TestRunMPIMatchesSerial(t *testing.T) {
 	s := buildSys(t, 400, DefaultParams())
-	serial := s.RunSerial()
+	serial := mustRun(t, s, RunSpec{})
 	for _, P := range []int{1, 2, 4, 7} {
-		r, err := s.RunMPI(P)
+		r, err := s.Run(RunSpec{Processes: P})
 		if err != nil {
 			t.Fatalf("P=%d: %v", P, err)
 		}
@@ -103,10 +113,10 @@ func TestRunMPIMatchesSerial(t *testing.T) {
 
 func TestRunHybridMatchesSerial(t *testing.T) {
 	s := buildSys(t, 400, DefaultParams())
-	serial := s.RunSerial()
+	serial := mustRun(t, s, RunSpec{})
 	cases := []struct{ P, p int }{{1, 2}, {2, 2}, {2, 3}, {3, 2}}
 	for _, tc := range cases {
-		r, err := s.RunHybrid(tc.P, tc.p)
+		r, err := s.Run(RunSpec{Processes: tc.P, ThreadsPerProcess: tc.p})
 		if err != nil {
 			t.Fatalf("P=%d p=%d: %v", tc.P, tc.p, err)
 		}
@@ -126,7 +136,7 @@ func TestRunHybridMatchesSerial(t *testing.T) {
 
 func TestRunMPIWorkBalance(t *testing.T) {
 	s := buildSys(t, 2000, DefaultParams())
-	r, err := s.RunMPI(4)
+	r, err := s.Run(RunSpec{Processes: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,10 +163,10 @@ func TestAtomDivisionEnergyVariesWithP(t *testing.T) {
 	// §IV: with atom-based division the error changes with the process
 	// count (division boundaries split tree nodes); with node-based
 	// division it does not. Also the result must stay close to serial.
-	serial := s.RunSerial()
+	serial := mustRun(t, s, RunSpec{})
 	energies := map[float64]bool{}
 	for _, P := range []int{1, 2, 5} {
-		r, err := s.RunMPI(P)
+		r, err := s.Run(RunSpec{Processes: P})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +184,7 @@ func TestNodeDivisionEnergyConstantAcrossP(t *testing.T) {
 	s := buildSys(t, 600, DefaultParams())
 	var first float64
 	for i, P := range []int{1, 2, 5, 8} {
-		r, err := s.RunMPI(P)
+		r, err := s.Run(RunSpec{Processes: P})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,11 +205,11 @@ func TestNodeDivisionEnergyConstantAcrossP(t *testing.T) {
 // reductions leave no room for scheduling noise.
 func TestRunMPIDeterministicAtFixedP(t *testing.T) {
 	s := buildSys(t, 500, DefaultParams())
-	a, err := s.RunMPI(3)
+	a, err := s.Run(RunSpec{Processes: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.RunMPI(3)
+	b, err := s.Run(RunSpec{Processes: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,11 +225,11 @@ func TestRunMPIDeterministicAtFixedP(t *testing.T) {
 
 func TestHybridUsesFewerRanksSameEnergy(t *testing.T) {
 	s := buildSys(t, 800, DefaultParams())
-	mpi, err := s.RunMPI(6)
+	mpi, err := s.Run(RunSpec{Processes: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hyb, err := s.RunHybrid(2, 3)
+	hyb, err := s.Run(RunSpec{Processes: 2, ThreadsPerProcess: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,12 +255,17 @@ func relDiff(a, b float64) float64 {
 	return math.Abs(a-b) / math.Max(math.Abs(a), math.Abs(b))
 }
 
+// TestRunDistributedValidation checks the per-division rank limits: the
+// node division needs a leaf per rank, the atom division only an atom.
 func TestRunDistributedValidation(t *testing.T) {
 	s := buildSys(t, 200, DefaultParams())
-	if _, err := s.RunMPI(0); err == nil {
-		t.Error("P=0 accepted")
+	P := len(s.aLeaves) + 1
+	if _, err := s.Run(RunSpec{Processes: P}); err == nil {
+		t.Errorf("node division accepted P=%d over %d atom leaves", P, len(s.aLeaves))
 	}
-	if _, err := s.RunHybrid(2, 0); err == nil {
-		t.Error("p=0 accepted")
+	params := DefaultParams()
+	params.Division = AtomNode
+	if _, err := buildSys(t, 200, params).Run(RunSpec{Processes: P}); err != nil {
+		t.Errorf("atom division refused P=%d over 200 atoms: %v", P, err)
 	}
 }

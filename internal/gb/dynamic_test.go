@@ -11,7 +11,7 @@ import (
 
 func TestRunMPIDynamicMatchesSerial(t *testing.T) {
 	s := buildSys(t, 600, DefaultParams())
-	serial := s.RunSerial()
+	serial := mustRun(t, s, RunSpec{})
 	for _, P := range []int{2, 4, 7} {
 		r, err := s.RunMPIDynamic(P)
 		if err != nil {
@@ -67,7 +67,7 @@ func TestRunMPIDynamicBalancesSkew(t *testing.T) {
 		t.Fatal(err)
 	}
 	const computeRanks = 5
-	static, err := sys.RunMPI(computeRanks)
+	static, err := sys.Run(RunSpec{Processes: computeRanks})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,9 +81,9 @@ func (s *System) buildEpolAggregates(radii []float64) *epolAggregates {
 // range [rmin, rmax] — two systems sharing a range produce directly
 // comparable class indices (the cross-molecule energy pass of Complex).
 func (s *System) buildEpolAggregatesRange(radii []float64, rmin, rmax float64) *epolAggregates {
-	eps := math.Min(s.Params.EpsEpol, defaultBinEps)
-	if s.Params.EpsBin > 0 {
-		eps = s.Params.EpsBin
+	eps := math.Min(s.Params.Accuracy.EpsEpol, defaultBinEps)
+	if s.Params.Accuracy.BinWidth > 0 {
+		eps = s.Params.Accuracy.BinWidth
 	}
 	agg := &epolAggregates{Rmin: rmin, order: s.order()}
 	epsBin := eps

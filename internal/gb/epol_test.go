@@ -70,7 +70,7 @@ func TestOctreeEpolMatchesNaive(t *testing.T) {
 	}
 	prevRel := 0.0
 	for _, tc := range cases {
-		params.EpsEpol = tc.eps
+		params.Accuracy.EpsEpol = tc.eps
 		sys2, err := NewSystem(m, surf, params)
 		if err != nil {
 			t.Fatal(err)

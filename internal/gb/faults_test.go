@@ -17,11 +17,11 @@ import (
 
 func TestFaultsEmptyPlanBitwiseIdentical(t *testing.T) {
 	s := buildSys(t, 300, DefaultParams())
-	base, err := s.RunMPI(3)
+	base, err := s.Run(RunSpec{Processes: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ft, err := s.RunMPIWithFaults(3, &FaultConfig{Plan: &fault.Plan{}})
+	ft, err := s.Run(RunSpec{Processes: 3, Faults: &FaultConfig{Plan: &fault.Plan{}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,11 +37,11 @@ func TestFaultsEmptyPlanBitwiseIdentical(t *testing.T) {
 		t.Errorf("empty plan set fault flags: %+v", ft)
 	}
 
-	hybBase, err := s.RunHybrid(2, 2)
+	hybBase, err := s.Run(RunSpec{Processes: 2, ThreadsPerProcess: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hybFT, err := s.RunHybridWithFaults(2, 2, nil)
+	hybFT, err := s.Run(RunSpec{Processes: 2, ThreadsPerProcess: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,9 +56,9 @@ func TestCrashRecoverMatchesSerial(t *testing.T) {
 	// full-accuracy answer — node division is P-invariant, so the healed
 	// energy matches serial to reassociation noise.
 	s := buildSys(t, 400, DefaultParams())
-	serial := s.RunSerial()
+	serial := mustRun(t, s, RunSpec{})
 	plan := &fault.Plan{Events: []fault.Event{{Kind: fault.Crash, Rank: 1, AtOp: 4}}}
-	r, err := s.RunMPIWithFaults(4, &FaultConfig{Plan: plan, Policy: Recover})
+	r, err := s.Run(RunSpec{Processes: 4, Faults: &FaultConfig{Plan: plan, Policy: Recover}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,9 +83,9 @@ func TestCrashDegradeHonestBound(t *testing.T) {
 	// terms are missing from the accepted partial sum. Under Degrade the
 	// result must carry an ErrorBound that really contains the deficit.
 	s := buildSys(t, 400, DefaultParams())
-	serial := s.RunSerial()
+	serial := mustRun(t, s, RunSpec{})
 	plan := &fault.Plan{Events: []fault.Event{{Kind: fault.Crash, Rank: 2, AtOp: 7}}}
-	r, err := s.RunMPIWithFaults(4, &FaultConfig{Plan: plan, Policy: Degrade})
+	r, err := s.Run(RunSpec{Processes: 4, Faults: &FaultConfig{Plan: plan, Policy: Degrade}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,11 +112,11 @@ func TestStragglerShedsWork(t *testing.T) {
 	// half a share; its siblings absorb the rest. Node division keeps leaf
 	// boundaries whole, so the answer is unchanged.
 	s := buildSys(t, 600, DefaultParams())
-	serial := s.RunSerial()
+	serial := mustRun(t, s, RunSpec{})
 	plan := &fault.Plan{Events: []fault.Event{
 		{Kind: fault.Straggle, Rank: 1, AtOp: 0, Count: 10, Dur: 200 * time.Microsecond},
 	}}
-	r, err := s.RunMPIWithFaults(4, &FaultConfig{Plan: plan})
+	r, err := s.Run(RunSpec{Processes: 4, Faults: &FaultConfig{Plan: plan}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,9 +139,9 @@ func TestHybridCrashRecover(t *testing.T) {
 	// The fault protocol must compose with per-rank work-stealing pools
 	// (crash unwinding releases the pool via defer, survivors heal).
 	s := buildSys(t, 400, DefaultParams())
-	serial := s.RunSerial()
+	serial := mustRun(t, s, RunSpec{})
 	plan := &fault.Plan{Events: []fault.Event{{Kind: fault.Crash, Rank: 1, AtOp: 4}}}
-	r, err := s.RunHybridWithFaults(3, 2, &FaultConfig{Plan: plan})
+	r, err := s.Run(RunSpec{Processes: 3, ThreadsPerProcess: 2, Faults: &FaultConfig{Plan: plan}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,10 +159,10 @@ func TestChaosRecoverNeverDeadlocksOrLies(t *testing.T) {
 	// only) against the Recover policy. Every run must terminate, and a
 	// completed non-degraded recovery is a full-accuracy answer.
 	s := buildSys(t, 300, DefaultParams())
-	serial := s.RunSerial()
+	serial := mustRun(t, s, RunSpec{})
 	for seed := int64(1); seed <= 6; seed++ {
 		plan := fault.Chaos(seed, 5, 8)
-		r, err := s.RunMPIWithFaults(5, &FaultConfig{Plan: plan, Policy: Recover})
+		r, err := s.Run(RunSpec{Processes: 5, Faults: &FaultConfig{Plan: plan, Policy: Recover}})
 		if err != nil {
 			t.Errorf("seed %d: %v", seed, err)
 			continue
@@ -179,16 +179,16 @@ func TestChaosRecoverNeverDeadlocksOrLies(t *testing.T) {
 
 func TestLayoutValidation(t *testing.T) {
 	s := buildSys(t, 200, DefaultParams())
-	for _, P := range []int{0, -3, 201} {
-		if _, err := s.RunMPI(P); err == nil {
-			t.Errorf("RunMPI(%d) accepted", P)
+	for _, P := range []int{-3, 201} {
+		if _, err := s.Run(RunSpec{Processes: P}); err == nil {
+			t.Errorf("Processes=%d accepted", P)
 		}
 	}
-	if _, err := s.RunHybrid(2, 0); err == nil {
-		t.Error("RunHybrid(2, 0) accepted")
+	if _, err := s.Run(RunSpec{Processes: 2, ThreadsPerProcess: -1}); err == nil {
+		t.Error("Processes=2, ThreadsPerProcess=-1 accepted")
 	}
-	if _, err := s.RunHybrid(0, 2); err == nil {
-		t.Error("RunHybrid(0, 2) accepted")
+	if _, err := s.Run(RunSpec{Processes: 0, ThreadsPerProcess: 2}); err == nil {
+		t.Error("Processes=0, ThreadsPerProcess=2 accepted")
 	}
 	if _, err := s.RunMPIDistributedData(0); err == nil {
 		t.Error("RunMPIDistributedData(0) accepted")
@@ -234,7 +234,7 @@ func TestDistDataDropRetryRecovers(t *testing.T) {
 	// bounded-retry loop must re-send and the run completes at full
 	// accuracy, with the recovery cost visible in the traffic stats.
 	s := buildSys(t, 300, DefaultParams())
-	serial := s.RunSerial()
+	serial := mustRun(t, s, RunSpec{})
 	plan := &fault.Plan{Events: []fault.Event{
 		{Kind: fault.Drop, Rank: 0, To: 1, AtOp: 1, Count: 2},
 	}}
@@ -262,7 +262,7 @@ func TestDistDataCrashAdoption(t *testing.T) {
 	// an adopting survivor — the Born vector comes back complete and the
 	// energy within the driver's approximation band of serial.
 	s := buildSys(t, 300, DefaultParams())
-	serial := s.RunSerial()
+	serial := mustRun(t, s, RunSpec{})
 	plan := &fault.Plan{Events: []fault.Event{{Kind: fault.Crash, Rank: 1, AtOp: 0}}}
 	r, err := s.RunMPIDistributedDataWithFaults(3, &FaultConfig{Plan: plan})
 	if err != nil {
@@ -319,7 +319,7 @@ func TestDistDataDegradeHonestBound(t *testing.T) {
 
 func TestDistDataChaosNeverDeadlocks(t *testing.T) {
 	s := buildSys(t, 200, DefaultParams())
-	serial := s.RunSerial()
+	serial := mustRun(t, s, RunSpec{})
 	for seed := int64(1); seed <= 4; seed++ {
 		plan := fault.Chaos(seed, 4, 6)
 		r, err := s.RunMPIDistributedDataWithFaults(4, &FaultConfig{Plan: plan, Policy: Recover})
@@ -345,7 +345,7 @@ func TestChaosCorruptionNeverSilent(t *testing.T) {
 	// always detected and either healed by retransmit or escalated as a
 	// typed error — never absorbed into the answer.
 	s := buildSys(t, 300, DefaultParams())
-	serial := s.RunSerial()
+	serial := mustRun(t, s, RunSpec{})
 	var injected, detected int64
 	for _, P := range []int{3, 5} {
 		for seed := int64(1); seed <= 6; seed++ {

@@ -264,7 +264,11 @@ func TestResumeRejectsForeignCheckpoint(t *testing.T) {
 	if _, err := s2.Run(RunSpec{Processes: 2, Resume: ck}); err == nil {
 		t.Error("foreign checkpoint accepted")
 	}
-	if _, err := s1.WithRelaxedEps(1.5).Run(RunSpec{Processes: 2, Resume: ck}); err != nil {
+	relaxed, err := s1.WithAccuracy(s1.Params.Accuracy.Relaxed(1.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := relaxed.Run(RunSpec{Processes: 2, Resume: ck}); err != nil {
 		t.Errorf("ε-relaxed resume of own checkpoint refused: %v", err)
 	}
 	if _, err := s1.Run(RunSpec{Resume: ck}); err == nil {
@@ -280,18 +284,21 @@ func TestResumeRejectsLooserCheckpoint(t *testing.T) {
 	// harness caught. The same snapshot stays valid for an equally
 	// relaxed system, and a v1 snapshot (ε unrecorded) is grandfathered.
 	s := buildSys(t, 300, DefaultParams())
-	relaxed := s.WithRelaxedEps(1.5)
+	relaxed, err := s.WithAccuracy(s.Params.Accuracy.Relaxed(1.5))
+	if err != nil {
+		t.Fatal(err)
+	}
 	sink := &memSink{}
 	if _, err := relaxed.Run(RunSpec{Processes: 2, Checkpoint: sink}); err != nil {
 		t.Fatal(err)
 	}
 	ck := sink.latest(t)
-	if ck.EpsEpol != relaxed.Params.EpsEpol || ck.EpsBorn != relaxed.Params.EpsBorn {
+	if acc := relaxed.Params.Accuracy; ck.EpsEpol != acc.EpsEpol || ck.EpsBorn != acc.EpsBorn {
 		t.Fatalf("snapshot records ε (born %g, epol %g), want the relaxed system's (born %g, epol %g)",
-			ck.EpsBorn, ck.EpsEpol, relaxed.Params.EpsBorn, relaxed.Params.EpsEpol)
+			ck.EpsBorn, ck.EpsEpol, acc.EpsBorn, acc.EpsEpol)
 	}
 
-	_, err := s.Run(RunSpec{Processes: 2, Resume: ck})
+	_, err = s.Run(RunSpec{Processes: 2, Resume: ck})
 	if err == nil {
 		t.Fatal("full-accuracy run resumed a relaxed snapshot")
 	}

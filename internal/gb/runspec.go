@@ -52,9 +52,9 @@ type RunSpec struct {
 	Checkpoint CheckpointSink
 	// Resume re-enters the pipeline at the snapshot's phase instead of
 	// starting from scratch. The snapshot must come from a system with the
-	// same configuration tag (ε may differ — see WithRelaxedEps); the
-	// process count may differ from the saving run's. Distributed layouts
-	// only.
+	// same configuration tag and an at-or-tighter ε (a relaxed WithAccuracy
+	// copy resumes its parent's snapshots); the process count may differ
+	// from the saving run's. Distributed layouts only.
 	Resume *Checkpoint
 	// Accuracy overrides the system's accuracy point for this run only:
 	// the run executes on a shallow WithAccuracy copy, so one prepared
@@ -98,7 +98,7 @@ func (spec *RunSpec) canceled() error {
 }
 
 // Run executes the computation the spec describes. It is the single
-// driver entry point; the Run* methods below are deprecated wrappers.
+// driver entry point of the shared-data layouts.
 func (s *System) Run(spec RunSpec) (*Result, error) {
 	if !spec.Trace.IsZero() {
 		spec.Obs.SetTrace(spec.Trace)
@@ -167,71 +167,4 @@ func (s *System) dispatch(spec RunSpec) (*Result, error) {
 		p = 1
 	}
 	return s.runDistributed(spec.Processes, p, spec)
-}
-
-// RunSerial computes Born radii and Epol with the serial octree algorithm
-// (the OCT baseline at P = p = 1).
-//
-// Deprecated: use Run(RunSpec{}).
-func (s *System) RunSerial() *Result {
-	res, _ := s.Run(RunSpec{})
-	return res
-}
-
-// RunCilk is OCT_CILK: the shared-memory driver. Work is divided over the
-// quadrature leaves (Born phase), atom segments (push phase) and atom
-// leaves (energy phase) by recursive splitting onto the work-stealing
-// pool, the paper's implicit dynamic load balancing.
-//
-// Deprecated: use Run(RunSpec{Pool: pool}).
-func (s *System) RunCilk(pool *sched.Pool) *Result {
-	res, _ := s.Run(RunSpec{Pool: pool})
-	return res
-}
-
-// RunMPI is OCT_MPI: P single-threaded message-passing ranks following
-// Fig. 4 (static node-based division, Allreduce of partial integrals,
-// Allgatherv of Born-radius segments, Allreduce of partial energies).
-// With Params.Division == AtomNode the atom-based division of §IV is used
-// instead.
-//
-// Deprecated: use Run(RunSpec{Processes: P}).
-func (s *System) RunMPI(P int) (*Result, error) {
-	if P < 1 {
-		return nil, s.validateLayout(P, 1)
-	}
-	return s.Run(RunSpec{Processes: P})
-}
-
-// RunHybrid is OCT_MPI+CILK: P ranks × p work-stealing threads.
-//
-// Deprecated: use Run(RunSpec{Processes: P, ThreadsPerProcess: p}).
-func (s *System) RunHybrid(P, p int) (*Result, error) {
-	if P < 1 || p < 1 {
-		return nil, s.validateLayout(P, p)
-	}
-	return s.Run(RunSpec{Processes: P, ThreadsPerProcess: p})
-}
-
-// RunMPIWithFaults is RunMPI under fault injection: the config's plan is
-// replayed against the run and the driver self-heals (or degrades, per
-// the policy) as ranks crash, messages drop, and stragglers stall. A nil
-// or empty config is exactly RunMPI.
-//
-// Deprecated: use Run(RunSpec{Processes: P, Faults: cfg}).
-func (s *System) RunMPIWithFaults(P int, cfg *FaultConfig) (*Result, error) {
-	if P < 1 {
-		return nil, s.validateLayout(P, 1)
-	}
-	return s.Run(RunSpec{Processes: P, Faults: cfg})
-}
-
-// RunHybridWithFaults is RunHybrid under fault injection.
-//
-// Deprecated: use Run(RunSpec{Processes: P, ThreadsPerProcess: p, Faults: cfg}).
-func (s *System) RunHybridWithFaults(P, p int, cfg *FaultConfig) (*Result, error) {
-	if P < 1 || p < 1 {
-		return nil, s.validateLayout(P, p)
-	}
-	return s.Run(RunSpec{Processes: P, ThreadsPerProcess: p, Faults: cfg})
 }

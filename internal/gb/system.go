@@ -59,18 +59,6 @@ func (i Integral) String() string {
 type Params struct {
 	// EpsSolvent is the solvent dielectric of Eq. 2 (default 80).
 	EpsSolvent float64
-	// EpsBorn is the ε of the Born-radii far-field criterion (Fig. 2);
-	// larger is faster and less accurate. The paper's default is 0.9.
-	//
-	// Deprecated: set Accuracy.EpsBorn. Kept as a thin wrapper with a
-	// bitwise-identical default; ignored when Accuracy is non-zero.
-	EpsBorn float64
-	// EpsEpol is the ε of the energy far-field criterion and the
-	// Born-radius class width of Fig. 3. The paper's default is 0.9.
-	//
-	// Deprecated: set Accuracy.EpsEpol. Kept as a thin wrapper with a
-	// bitwise-identical default; ignored when Accuracy is non-zero.
-	EpsEpol float64
 	// LeafAtoms / LeafQPoints are the octree leaf capacities.
 	LeafAtoms   int
 	LeafQPoints int
@@ -80,24 +68,14 @@ type Params struct {
 	Division Division
 	// Integral selects the r⁶ (default) or r⁴ Born-radius form.
 	Integral Integral
-	// EpsBin overrides the Born-radius class width of the Fig. 3
-	// histograms (0: use EpsEpol). Exposed for the binning-resolution
-	// ablation (DESIGN.md §6.5). Must not exceed EpsEpol.
-	//
-	// Deprecated: set Accuracy.BinWidth. Kept as a thin wrapper with a
-	// bitwise-identical default; ignored when Accuracy is non-zero.
-	EpsBin float64
 	// OpeningScale overrides the far-criterion threshold multiplier of
 	// the energy phase (0: the calibrated default). Exposed for the
 	// opening-criterion ablation.
 	OpeningScale float64
-	// Accuracy is the unified work/precision spec (eps pair, bin width,
-	// quadrature order, expansion order). The zero value falls back to
-	// the deprecated EpsBorn/EpsEpol/EpsBin fields above at the
-	// calibrated OrderDipole default; a non-zero Accuracy wins over
-	// them. NewSystem normalizes: after construction the Accuracy field
-	// is always populated and the deprecated fields mirror it, so both
-	// read sides stay consistent.
+	// Accuracy is the work/precision spec (eps pair, bin width,
+	// quadrature order, expansion order). The zero value means
+	// DefaultAccuracy(). NewSystem normalizes it: after construction the
+	// field is always populated.
 	Accuracy Accuracy
 }
 
@@ -106,12 +84,11 @@ type Params struct {
 func DefaultParams() Params {
 	return Params{
 		EpsSolvent:  DefaultSolventDielectric,
-		EpsBorn:     0.9,
-		EpsEpol:     0.9,
 		LeafAtoms:   8,
 		LeafQPoints: 32,
 		Math:        ExactMath,
 		Division:    NodeNode,
+		Accuracy:    DefaultAccuracy(),
 	}
 }
 
@@ -120,17 +97,7 @@ func (p Params) Validate() error {
 	if p.EpsSolvent <= 1 {
 		return fmt.Errorf("gb: solvent dielectric %v must exceed 1", p.EpsSolvent)
 	}
-	if p.Accuracy.IsZero() {
-		if p.EpsBorn <= 0 || p.EpsEpol <= 0 {
-			return fmt.Errorf("gb: approximation parameters must be positive (got %v, %v)", p.EpsBorn, p.EpsEpol)
-		}
-		if !(p.EpsBin >= 0) {
-			return fmt.Errorf("gb: bin width %v must be non-negative", p.EpsBin)
-		}
-		if p.EpsBin > p.EpsEpol {
-			return fmt.Errorf("gb: bin width %v exceeds EpsEpol %v: bins wider than the energy criterion degrade the Fig. 3 histogram bound", p.EpsBin, p.EpsEpol)
-		}
-	} else if err := p.Accuracy.Validate(); err != nil {
+	if err := p.Accuracy.Validate(); err != nil {
 		return err
 	}
 	if p.LeafAtoms < 1 || p.LeafQPoints < 1 {
@@ -192,14 +159,11 @@ func NewSystem(mol *molecule.Molecule, surf *surface.Surface, params Params) (*S
 		return nil, fmt.Errorf("gb: surface of %q has no quadrature points", mol.Name)
 	}
 	// Normalize the accuracy spec: after construction Params.Accuracy is
-	// always populated and the deprecated eps fields mirror it, so the
-	// traversals (which read the mirrors) and the tuner/serving layers
-	// (which read the spec) agree by construction.
-	acc := params.EffectiveAccuracy()
-	params.Accuracy = acc
-	params.EpsBorn = acc.EpsBorn
-	params.EpsEpol = acc.EpsEpol
-	params.EpsBin = acc.BinWidth
+	// always populated, so every reader sees the same point.
+	if params.Accuracy.IsZero() {
+		params.Accuracy = DefaultAccuracy()
+	}
+	params.Accuracy = params.Accuracy.normalized()
 	s := &System{
 		Params:  params,
 		Mol:     mol,
@@ -212,24 +176,33 @@ func NewSystem(mol *molecule.Molecule, surf *surface.Surface, params Params) (*S
 	s.qLeaves = s.TQ.Leaves()
 	s.aLeaves = s.TA.Leaves()
 
-	// Aggregate the weighted normal and normal-moment tensor of every
-	// T_Q node bottom-up (children precede parents in reverse DFS index
-	// order).
-	s.nodeNormal = make([]geom.Vec3, s.TQ.NumNodes())
-	s.nodeMoment = make([]geom.Mat3, s.TQ.NumNodes())
-	for i := s.TQ.NumNodes() - 1; i >= 0; i-- {
-		n := &s.TQ.Nodes[i]
+	s.nodeNormal, s.nodeMoment = buildQNormals(s.TQ, surf.Points)
+	if params.Accuracy.Order == OrderQuadrupole {
+		s.nodeMoment2 = buildQuadMoments(s.TQ, surf.Points, s.nodeNormal, s.nodeMoment)
+	}
+	return s, nil
+}
+
+// buildQNormals aggregates the weighted normal ñ = Σ w n and the
+// normal-moment tensor T = Σ w n (p − c)ᵀ of every node of a quadrature
+// octree, bottom-up (children precede parents in reverse DFS index
+// order).
+func buildQNormals(tree *octree.Tree, pts []surface.QPoint) ([]geom.Vec3, []geom.Mat3) {
+	normals := make([]geom.Vec3, tree.NumNodes())
+	moments := make([]geom.Mat3, tree.NumNodes())
+	for i := tree.NumNodes() - 1; i >= 0; i-- {
+		n := &tree.Nodes[i]
 		if n.Leaf {
 			var sum geom.Vec3
 			var mom geom.Mat3
-			for _, it := range s.TQ.ItemsOf(int32(i)) {
-				q := &surf.Points[it]
+			for _, it := range tree.ItemsOf(int32(i)) {
+				q := &pts[it]
 				wn := q.Normal.Scale(q.Weight)
 				sum = sum.Add(wn)
 				addOuter(&mom, wn, q.Pos.Sub(n.Center))
 			}
-			s.nodeNormal[i] = sum
-			s.nodeMoment[i] = mom
+			normals[i] = sum
+			moments[i] = mom
 			continue
 		}
 		var sum geom.Vec3
@@ -238,22 +211,19 @@ func NewSystem(mol *molecule.Molecule, surf *surface.Surface, params Params) (*S
 			if c == octree.NoChild {
 				continue
 			}
-			sum = sum.Add(s.nodeNormal[c])
+			sum = sum.Add(normals[c])
 			// Re-center the child tensor about the parent centroid:
 			// T_p += T_c + ñ_c ⊗ (q̄_c − q̄_p).
-			shift := s.TQ.Nodes[c].Center.Sub(n.Center)
+			shift := tree.Nodes[c].Center.Sub(n.Center)
 			for k := 0; k < 9; k++ {
-				mom[k] += s.nodeMoment[c][k]
+				mom[k] += moments[c][k]
 			}
-			addOuter(&mom, s.nodeNormal[c], shift)
+			addOuter(&mom, normals[c], shift)
 		}
-		s.nodeNormal[i] = sum
-		s.nodeMoment[i] = mom
+		normals[i] = sum
+		moments[i] = mom
 	}
-	if acc.Order == OrderQuadrupole {
-		s.nodeMoment2 = buildQuadMoments(s.TQ, surf.Points, s.nodeNormal, s.nodeMoment)
-	}
-	return s, nil
+	return normals, moments
 }
 
 // buildQuadMoments aggregates the second-order surface moments

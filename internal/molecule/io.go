@@ -47,7 +47,9 @@ func ReadXYZRQ(r io.Reader) (*Molecule, error) {
 	if len(header) > 1 {
 		name = strings.Join(header[1:], " ")
 	}
-	m := &Molecule{Name: name, Atoms: make([]Atom, 0, n)}
+	// No capacity from n: the header is untrusted, and the count check
+	// below rejects any mismatch.
+	m := &Molecule{Name: name}
 	line := 1
 	for sc.Scan() {
 		line++

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -59,6 +60,36 @@ func TestXYZRQErrors(t *testing.T) {
 			t.Errorf("case %d: no error for %q", i, in)
 		}
 	}
+}
+
+// TestXYZRQHugeHeaderCount pins that the header's atom count is not
+// trusted for allocation: sized from the header, this 11-byte input
+// would reserve about 40 GB before the count check rejects it.
+func TestXYZRQHugeHeaderCount(t *testing.T) {
+	if _, err := ReadXYZRQ(strings.NewReader("999999990 0")); err == nil {
+		t.Fatal("header count without atoms accepted")
+	}
+}
+
+// FuzzReadXYZRQ feeds arbitrary bytes to the parser: it must return an
+// error or a molecule that matches its header count and validates,
+// never panic or allocate from the header alone.
+func FuzzReadXYZRQ(f *testing.F) {
+	f.Add([]byte("2 demo\n# comment\n0 0 0 1.5 0.1\n\n1 0 0 1.2 -0.1\n"))
+	f.Add([]byte("1 demo\n0 0 0 -1 0\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := ReadXYZRQ(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if verr := m.Validate(); verr != nil {
+			t.Fatalf("accepted an invalid molecule: %v", verr)
+		}
+		header, _, _ := strings.Cut(string(data), "\n")
+		if n, _ := strconv.Atoi(strings.Fields(header)[0]); n != m.NumAtoms() {
+			t.Fatalf("header count %d, parsed %d atoms", n, m.NumAtoms())
+		}
+	})
 }
 
 func TestPQRRoundTrip(t *testing.T) {

@@ -133,8 +133,14 @@ func (w *Worker) loop() {
 			p.mu.Unlock()
 			return
 		}
-		// Re-check under the lock via a last steal attempt to avoid a
-		// missed wakeup between the failed steal and parking.
+		// Re-check under the lock: Run and Spawn push before they take
+		// p.mu to look for an idle worker, so a push that landed between
+		// the failed steal above and this Lock is visible here, and any
+		// later push finds idle > 0 and signals.
+		if p.hasWork() {
+			p.mu.Unlock()
+			continue
+		}
 		p.idle++
 		p.parks.Add(1)
 		p.cond.Wait()
@@ -145,6 +151,16 @@ func (w *Worker) loop() {
 			return
 		}
 	}
+}
+
+// hasWork reports whether any worker's deque holds a task.
+func (p *Pool) hasWork() bool {
+	for _, v := range p.workers {
+		if v.dq.size() > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // nextRand advances the worker's xorshift generator.

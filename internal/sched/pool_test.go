@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestRunExecutes(t *testing.T) {
@@ -258,5 +259,52 @@ func TestWorkerAccessors(t *testing.T) {
 	})
 	if p.TasksSpawned() == 0 {
 		t.Error("TasksSpawned did not count")
+	}
+}
+
+// TestPoolNoLostWakeup hammers Run and ParallelRange on a 2-worker pool,
+// where both workers park between calls and the next push races their
+// parking. A lost wakeup leaves a pushed task on a parked worker's deque
+// and Run blocked forever; the watchdog reports a stall as a failure
+// instead of letting the suite time out.
+func TestPoolNoLostWakeup(t *testing.T) {
+	rounds := int64(500000)
+	if testing.Short() {
+		rounds = 50000
+	}
+	const stall = 10 * time.Second
+	p := New(2)
+	defer p.Close()
+	var done atomic.Int64
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		for i := int64(0); i < rounds; i++ {
+			var sum atomic.Int64
+			p.ParallelRange(16, 4, func(w *Worker, lo, hi int) {
+				sum.Add(int64(hi - lo))
+			})
+			p.Run(func(w *Worker) { sum.Add(1) })
+			if sum.Load() != 17 {
+				t.Errorf("round %d: covered %d of 17 units", i, sum.Load())
+				return
+			}
+			done.Store(i + 1)
+		}
+	}()
+	tick := time.NewTicker(100 * time.Millisecond)
+	defer tick.Stop()
+	last, lastMove := int64(-1), time.Now()
+	for {
+		select {
+		case <-finished:
+			return
+		case now := <-tick.C:
+			if n := done.Load(); n != last {
+				last, lastMove = n, now
+			} else if now.Sub(lastMove) > stall {
+				t.Fatalf("pool hung: no round finished for %v after %d of %d rounds", stall, n, rounds)
+			}
+		}
 	}
 }

@@ -103,13 +103,12 @@ func TestRetryBudgetExhaustedAtEveryRung(t *testing.T) {
 		Processes: P,
 		Plan:      alwaysCrash(P),
 		Retries:   3,
-		EpsLadder: []float64{1.5, 2.25, 4.0},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []Rung{RungInitial, RungRetry, RungRetry, RungRetry,
-		RungRelax, RungRelax, RungRelax, RungDegrade, RungFallback}
+		RungRelax, RungRelax, RungDegrade, RungFallback}
 	if got := rungs(out); !reflect.DeepEqual(got, want) {
 		t.Errorf("ladder walk %v, want %v", got, want)
 	}

@@ -53,7 +53,7 @@ const (
 	// RungShrink resumes with the process count shrunk to the
 	// checkpoint's agreed live membership.
 	RungShrink
-	// RungRelax relaxes the ε tolerances one notch (gb.WithRelaxedEps)
+	// RungRelax relaxes the ε tolerances one notch (gb.Accuracy.Relaxed)
 	// and prices the shed accuracy into ErrorBound.
 	RungRelax
 	// RungDegrade switches to gb's Degrade policy: accept a partial
@@ -131,15 +131,10 @@ type Spec struct {
 	BackoffBase time.Duration
 	// Seed seeds the jitter generator — same seed, same ladder walk.
 	Seed int64
-	// EpsLadder are the relax-rung tolerance factors, tried in order
-	// (default {1.5, 2.25}). Ignored when AccuracyLadder is set.
-	//
-	// Deprecated: prefer AccuracyLadder, which sheds along the tuner's
-	// admissible frontier instead of scaling ε blindly.
-	EpsLadder []float64
-	// AccuracyLadder replaces the scalar relax rung with the tuner's
-	// admissible frontier: each step is a full accuracy point plus its
-	// predicted relative error (see RelaxStep). Steps are tried in
+	// AccuracyLadder replaces the scalar relax rung (ε scaled by 1.5,
+	// then 2.25) with the tuner's admissible frontier: each step is a
+	// full accuracy point plus its predicted relative error (see
+	// RelaxStep). Steps are tried in
 	// order; steps that do not loosen the energy criterion beyond the
 	// current point are skipped (escalation only ever relaxes further).
 	// A step that changes the expansion order changes the checkpoint
@@ -184,12 +179,8 @@ type Spec struct {
 	// the relax rung directly, trading priced accuracy (the factor's
 	// epsPenalty lands in ErrorBound and the Outcome is Degraded) for
 	// admission capacity. Ladder entries at or below the factor are
-	// skipped — escalation only ever relaxes further.
-	//
-	// Deprecated: the factor now maps onto Accuracy scaling — the
-	// pre-shed system is gb.WithRelaxedEps(factor), whose accuracy
-	// point is exactly Params.Accuracy.Relaxed(factor). Callers with a
-	// tuned ladder should prefer starting on AccuracyLadder[0].
+	// skipped — escalation only ever relaxes further. The pre-shed
+	// system runs at Params.Accuracy.Relaxed(factor).
 	StartEpsFactor float64
 }
 
@@ -252,6 +243,19 @@ type Outcome struct {
 	Recorder *obs.Recorder
 }
 
+// epsLadder are the scalar relax-rung ε factors, tried in order when no
+// AccuracyLadder is set.
+var epsLadder = [...]float64{1.5, 2.25}
+
+// relaxed returns s with its ε pair scaled by factor.
+func relaxed(s *gb.System, factor float64) (*gb.System, error) {
+	ws, err := s.WithAccuracy(s.Params.Accuracy.Relaxed(factor))
+	if err != nil {
+		return nil, fmt.Errorf("supervise: relaxing ε by %g: %w", factor, err)
+	}
+	return ws, nil
+}
+
 // epsPenalty prices a relaxed far-field tolerance into the error bound:
 // the octree truncation error of both phases is first-order in ε, so
 // relaxing by factor adds at most about |Epol|·ε_epol·(factor−1),
@@ -297,10 +301,6 @@ func Run(s *gb.System, spec Spec) (*Outcome, error) {
 	if backoffBase <= 0 {
 		backoffBase = 2 * time.Millisecond
 	}
-	ladder := spec.EpsLadder
-	if len(ladder) == 0 {
-		ladder = []float64{1.5, 2.25}
-	}
 	store := spec.Store
 	if store == nil {
 		store = NewMemStore()
@@ -322,10 +322,14 @@ func Run(s *gb.System, spec Spec) (*Outcome, error) {
 	curFactor := 1.0
 	curRelErr := 0.0
 	var curAcc gb.Accuracy
-	baseEps := s.Params.EpsEpol
+	baseEps := s.Params.Accuracy.EpsEpol
 	if spec.StartEpsFactor > 1 {
 		curFactor = spec.StartEpsFactor
-		curSys = s.WithRelaxedEps(curFactor)
+		ws, err := relaxed(s, curFactor)
+		if err != nil {
+			return nil, err
+		}
+		curSys = ws
 		rec.Count("supervise.preshed", 1)
 		rec.Event(0, "supervise", fmt.Sprintf("pre-shed: start at eps factor %.3g", curFactor))
 	}
@@ -433,7 +437,7 @@ func Run(s *gb.System, spec Spec) (*Outcome, error) {
 		out.Result = res
 		out.Rung = rung
 		out.EpsFactor = curFactor
-		out.Accuracy = curSys.Params.EffectiveAccuracy()
+		out.Accuracy = curSys.Params.Accuracy
 		out.RelError = curRelErr
 		out.Degraded = res.Degraded || curFactor > 1 || curRelErr > 0 || rung == RungFallback
 		out.Result.Degraded = out.Degraded
@@ -513,7 +517,7 @@ func Run(s *gb.System, spec Spec) (*Outcome, error) {
 	// pre-shed StartEpsFactor are already in effect and are skipped.
 	if len(spec.AccuracyLadder) > 0 {
 		for _, step := range spec.AccuracyLadder {
-			cur := curSys.Params.EffectiveAccuracy()
+			cur := curSys.Params.Accuracy
 			if step.Accuracy.OpeningFactor(1) >= cur.OpeningFactor(1) {
 				continue // not looser than where we already are
 			}
@@ -531,14 +535,14 @@ func Run(s *gb.System, spec Spec) (*Outcome, error) {
 			curAcc = step.Accuracy
 			curRelErr = step.RelError
 			if baseEps > 0 {
-				curFactor = curSys.Params.EpsEpol / baseEps
+				curFactor = curSys.Params.Accuracy.EpsEpol / baseEps
 			}
 			if ok, err := attempt(RungRelax, spec.Policy, true); err != nil || ok {
 				return out, err
 			}
 		}
 	} else {
-		for _, f := range ladder {
+		for _, f := range epsLadder {
 			if f <= curFactor {
 				continue
 			}
@@ -549,7 +553,11 @@ func Run(s *gb.System, spec Spec) (*Outcome, error) {
 			}
 			escalate(RungRelax)
 			curFactor = f
-			curSys = s.WithRelaxedEps(f)
+			ws, err := relaxed(s, f)
+			if err != nil {
+				return nil, err
+			}
+			curSys = ws
 			if ok, err := attempt(RungRelax, spec.Policy, true); err != nil || ok {
 				return out, err
 			}

@@ -44,6 +44,16 @@ func relDiff(a, b float64) float64 {
 	return d
 }
 
+// mustRun runs the spec on s and fails the test on error.
+func mustRun(t testing.TB, s *gb.System, spec gb.RunSpec) *gb.Result {
+	t.Helper()
+	res, err := s.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestCleanRunStaysOnInitialRung(t *testing.T) {
 	s := buildSys(t, 300)
 	out, err := Run(s, Spec{Processes: 3})
@@ -53,7 +63,7 @@ func TestCleanRunStaysOnInitialRung(t *testing.T) {
 	if out.Rung != RungInitial || out.Degraded || len(out.Attempts) != 1 {
 		t.Fatalf("clean run escalated: rung=%s degraded=%v attempts=%d", out.Rung, out.Degraded, len(out.Attempts))
 	}
-	serial := s.RunSerial()
+	serial := mustRun(t, s, gb.RunSpec{})
 	if rel := relDiff(out.Result.Epol, serial.Epol); rel > 1e-10 {
 		t.Errorf("supervised Epol off serial by %v", rel)
 	}
@@ -194,7 +204,7 @@ func TestQuorumLossDescendsToDegradedFallback(t *testing.T) {
 	if !(out.Result.ErrorBound > 0) || math.IsInf(out.Result.ErrorBound, 0) || math.IsNaN(out.Result.ErrorBound) {
 		t.Errorf("ErrorBound = %v, want finite and positive (ε was relaxed on the way down)", out.Result.ErrorBound)
 	}
-	serial := s.RunSerial()
+	serial := mustRun(t, s, gb.RunSpec{})
 	if math.Abs(out.Result.Epol-serial.Epol) > out.Result.ErrorBound+1e-9*math.Abs(serial.Epol) {
 		t.Errorf("|Epol−serial| = %v exceeds bound %v", math.Abs(out.Result.Epol-serial.Epol), out.Result.ErrorBound)
 	}

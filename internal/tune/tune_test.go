@@ -30,6 +30,16 @@ func rosterSubset(t *testing.T) []molecule.BenchmarkEntry {
 // roster molecule swept, the selected point's measured error meets the
 // target, and an INDEPENDENT re-run of the returned system confirms the
 // measurement (the selection is not allowed to grade its own homework).
+// mustRun runs the spec on s and fails the test on error.
+func mustRun(t testing.TB, s *gb.System, spec gb.RunSpec) *gb.Result {
+	t.Helper()
+	res, err := s.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestSelectMeetsTargetAcrossRoster(t *testing.T) {
 	for _, e := range rosterSubset(t) {
 		e := e
@@ -54,7 +64,7 @@ func TestSelectMeetsTargetAcrossRoster(t *testing.T) {
 			}
 			// Independent check: run the returned system and measure
 			// against the reference ourselves.
-			res := sel.System.RunSerial()
+			res := mustRun(t, sel.System, gb.RunSpec{})
 			if got := math.Abs(res.Epol - sel.ReferenceEpol); got > target {
 				t.Errorf("re-run error %v exceeds target %v (reference %v, re-run %v)",
 					got, target, sel.ReferenceEpol, res.Epol)
@@ -80,7 +90,7 @@ func TestSelectTightTargetStaysAdmissible(t *testing.T) {
 		t.Errorf("tight target: verified=%v measured=%v target=%v",
 			sel.Point.Verified, sel.Point.MeasuredError, target)
 	}
-	res := sel.System.RunSerial()
+	res := mustRun(t, sel.System, gb.RunSpec{})
 	if got := math.Abs(res.Epol - sel.ReferenceEpol); got > target {
 		t.Errorf("re-run error %v exceeds tight target %v", got, target)
 	}
@@ -257,7 +267,7 @@ func TestDriversWithinBoundAtHigherOrders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := sys.RunSerial()
+	ref := mustRun(t, sys, gb.RunSpec{})
 
 	for _, ord := range []int{gb.OrderDipole, gb.OrderQuadrupole} {
 		acc := gb.Accuracy{EpsBorn: 0.9, EpsEpol: 0.9, QuadOrder: 2, Order: ord}
