@@ -68,7 +68,7 @@ func TestPipelineFromPQRFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dyn, err := sys.RunMPIDynamic(4)
+	dyn, err := sys.Run(gb.RunSpec{Processes: 4, Scheme: gb.Dynamic})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -241,7 +241,7 @@ func ablationStealing(o Options) (*Table, error) {
 }
 
 // ablationDynamic contrasts the static cross-rank division with the
-// coordinator-served dynamic chunks of RunMPIDynamic (the paper's
+// coordinator-served dynamic chunks of RunSpec{Scheme: Dynamic} (the paper's
 // proposed future extension) on a skew-cost workload.
 func ablationDynamic(o Options) (*Table, error) {
 	dense := molecule.Exactly(molecule.Globule("dense", 3000, 5), 3000, 5)
@@ -283,7 +283,7 @@ func ablationDynamic(o Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		dynamic, err := entry.sys.RunMPIDynamic(computeRanks + 1)
+		dynamic, err := entry.sys.Run(gb.RunSpec{Processes: computeRanks + 1, Scheme: gb.Dynamic})
 		if err != nil {
 			return nil, err
 		}
@@ -399,7 +399,7 @@ func ablationDistData(o Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	dist, err := entry.sys.RunMPIDistributedData(P)
+	dist, err := entry.sys.Run(gb.RunSpec{Processes: P, Scheme: gb.Segmented})
 	if err != nil {
 		return nil, err
 	}

@@ -212,7 +212,7 @@ func (r *checkpointReader) take(n int) []byte {
 	if r.err != nil {
 		return nil
 	}
-	if r.off+n > len(r.b) {
+	if n < 0 || r.off+n > len(r.b) {
 		r.err = fmt.Errorf("gb: truncated checkpoint (want %d bytes at offset %d of %d)", n, r.off, len(r.b))
 		return nil
 	}
@@ -250,9 +250,24 @@ func (r *checkpointReader) str() string {
 	return ""
 }
 
-func (r *checkpointReader) intSlice() []int {
+// count reads a u32 element count and checks that n elements of at
+// least elemSize bytes each fit in the bytes left. The CRC is unkeyed, so
+// a crafted snapshot passes it: an unchecked count would let a few bytes
+// reserve gigabytes.
+func (r *checkpointReader) count(elemSize int) int {
 	n := int(r.u32())
-	if r.err != nil || n == 0 {
+	if r.err == nil && (n < 0 || n > (len(r.b)-r.off)/elemSize) {
+		r.err = fmt.Errorf("gb: checkpoint count %d at offset %d overruns the %d bytes left", n, r.off, len(r.b)-r.off)
+	}
+	if r.err != nil {
+		return 0
+	}
+	return n
+}
+
+func (r *checkpointReader) intSlice() []int {
+	n := r.count(8)
+	if n == 0 {
 		return nil
 	}
 	out := make([]int, 0, n)
@@ -291,8 +306,7 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 		ck.EpsBorn = r.float()
 		ck.EpsEpol = r.float()
 	}
-	n := int(r.u32())
-	if r.err == nil && n > 0 {
+	if n := r.count(8); n > 0 {
 		ck.Payload = make([]float64, 0, n)
 		for i := 0; i < n && r.err == nil; i++ {
 			ck.Payload = append(ck.Payload, r.float())
@@ -304,15 +318,14 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 			Hists:      make(map[string]obs.HistState),
 			SpanCounts: make(map[string]int64),
 		}
-		for i, cnt := 0, int(r.u32()); i < cnt && r.err == nil; i++ {
+		for i, cnt := 0, r.count(4+8); i < cnt && r.err == nil; i++ {
 			name := r.str()
 			s.Counters[name] = r.i64()
 		}
-		for i, cnt := 0, int(r.u32()); i < cnt && r.err == nil; i++ {
+		for i, cnt := 0, r.count(4+8+8+4); i < cnt && r.err == nil; i++ {
 			name := r.str()
 			h := obs.HistState{Count: r.i64(), Sum: r.i64()}
-			nb := int(r.u32())
-			if r.err == nil && nb > 0 {
+			if nb := r.count(8); nb > 0 {
 				h.Buckets = make([]int64, 0, nb)
 				for j := 0; j < nb && r.err == nil; j++ {
 					h.Buckets = append(h.Buckets, r.i64())
@@ -320,7 +333,7 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 			}
 			s.Hists[name] = h
 		}
-		for i, cnt := 0, int(r.u32()); i < cnt && r.err == nil; i++ {
+		for i, cnt := 0, r.count(4+8); i < cnt && r.err == nil; i++ {
 			name := r.str()
 			s.SpanCounts[name] = r.i64()
 		}

@@ -78,11 +78,11 @@ func TestDistributedBitwiseDeterministic(t *testing.T) {
 	}
 	bitwiseSame(t, "hybrid", ha, hb)
 
-	da, err := s.RunMPIDistributedData(3)
+	da, err := s.Run(RunSpec{Processes: 3, Scheme: Segmented})
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := s.RunMPIDistributedData(3)
+	db, err := s.Run(RunSpec{Processes: 3, Scheme: Segmented})
 	if err != nil {
 		t.Fatal(err)
 	}

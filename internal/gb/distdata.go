@@ -2,14 +2,12 @@ package gb
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"time"
 
 	"gbpolar/internal/geom"
 	"gbpolar/internal/molecule"
 	"gbpolar/internal/octree"
-	"gbpolar/internal/perf"
 	"gbpolar/internal/simmpi"
 	"gbpolar/internal/surface"
 )
@@ -39,13 +37,11 @@ type qBundle struct {
 	moments2 []bornMom2 // nil below OrderQuadrupole
 }
 
-// aBundle is a serializable atom segment: its octree plus atom data,
-// radii and energy aggregates.
+// aBundle is a serializable atom segment: a standalone System view over
+// the segment's own octree (see segView) plus the segment's Born radii.
 type aBundle struct {
-	tree   *octree.Tree
-	pos    []geom.Vec3
-	charge []float64
-	radii  []float64
+	view  *System
+	radii []float64
 }
 
 // buildQBundle constructs the quadrature bundle for a point subset at
@@ -94,66 +90,61 @@ func decodeQ(data []float64, leafSize, ord int) *qBundle {
 	return buildQBundle(pts, leafSize, ord)
 }
 
-// buildABundle constructs the atom bundle for an atom subset.
-func buildABundle(pos []geom.Vec3, charge, radii []float64, leafSize int) *aBundle {
-	return &aBundle{
-		tree: octree.Build(pos, leafSize),
-		pos:  pos, charge: charge, radii: radii,
-	}
+// segView wraps one atom segment as a standalone System over its own
+// octree, so the Born push and the energy traversals run on it unchanged.
+// It has no surface: a segment's Born integrals come from bornPass over
+// quadrature bundles.
+func segView(params Params, atoms []molecule.Atom) *System {
+	mol := &molecule.Molecule{Name: "segment", Atoms: atoms}
+	pos := mol.Positions()
+	return &System{Params: params, Mol: mol, TA: octree.Build(pos, params.LeafAtoms), atomPos: pos}
 }
 
 // encode layout: n, then per atom (pos3, charge, radius).
 func (b *aBundle) encode() []float64 {
-	out := make([]float64, 0, 1+5*len(b.pos))
-	out = append(out, float64(len(b.pos)))
-	for _, it := range b.tree.Items {
-		out = append(out, b.pos[it].X, b.pos[it].Y, b.pos[it].Z,
-			b.charge[it], b.radii[it])
+	atoms := b.view.Mol.Atoms
+	out := make([]float64, 0, 1+5*len(atoms))
+	out = append(out, float64(len(atoms)))
+	for _, it := range b.view.TA.Items {
+		p := atoms[it].Pos
+		out = append(out, p.X, p.Y, p.Z, atoms[it].Charge, b.radii[it])
 	}
 	return out
 }
 
-func decodeA(data []float64, leafSize int) *aBundle {
+// decodeA rebuilds a shipped atom bundle. The wire format carries no
+// intrinsic radii, so the view's are zero: the energy traversals read
+// only positions, charges and Born radii.
+func decodeA(data []float64, params Params) *aBundle {
 	n := int(data[0])
-	pos := make([]geom.Vec3, n)
-	charge := make([]float64, n)
+	atoms := make([]molecule.Atom, n)
 	radii := make([]float64, n)
 	for i := 0; i < n; i++ {
 		f := data[1+5*i:]
-		pos[i] = geom.V(f[0], f[1], f[2])
-		charge[i] = f[3]
+		atoms[i] = molecule.Atom{Pos: geom.V(f[0], f[1], f[2]), Charge: f[3]}
 		radii[i] = f[4]
 	}
-	return buildABundle(pos, charge, radii, leafSize)
+	return &aBundle{view: segView(params, atoms), radii: radii}
 }
 
-// distAtomSeg is one rank's atom segment (global octree item order). Any
-// rank can rebuild any segment from the replicated molecule — the
-// simulated analogue of re-reading a lost rank's input from disk, which
-// is what makes the adoption recovery below possible.
-type distAtomSeg struct {
-	idx       []int32
-	pos       []geom.Vec3
-	charge    []float64
-	intrinsic []float64
+// atomSeg is one rank's atom segment (global octree item order), carrying
+// the real intrinsic radii its Born push needs. Any rank can rebuild any
+// segment from the replicated molecule — the simulated analogue of
+// re-reading a lost rank's input from disk, which is what makes the
+// adoption recovery below possible.
+type atomSeg struct {
+	idx  []int32 // original atom indices
+	view *System
 }
 
-func (s *System) distAtomSeg(P, rank int) *distAtomSeg {
+func (s *System) atomSeg(P, rank int) *atomSeg {
 	alo, ahi := segment(s.NumAtoms(), P, rank)
-	seg := &distAtomSeg{
-		idx:       make([]int32, 0, ahi-alo),
-		pos:       make([]geom.Vec3, 0, ahi-alo),
-		charge:    make([]float64, 0, ahi-alo),
-		intrinsic: make([]float64, 0, ahi-alo),
+	idx := s.TA.Items[alo:ahi]
+	atoms := make([]molecule.Atom, len(idx))
+	for k, ai := range idx {
+		atoms[k] = s.Mol.Atoms[ai]
 	}
-	for p := alo; p < ahi; p++ {
-		ai := s.TA.Items[p]
-		seg.idx = append(seg.idx, ai)
-		seg.pos = append(seg.pos, s.atomPos[ai])
-		seg.charge = append(seg.charge, s.Mol.Atoms[ai].Charge)
-		seg.intrinsic = append(seg.intrinsic, s.Mol.Atoms[ai].Radius)
-	}
-	return seg
+	return &atomSeg{idx: idx, view: segView(s.Params, atoms)}
 }
 
 // distQSeg rebuilds rank's quadrature-segment bundle from the replicated
@@ -171,89 +162,102 @@ func (s *System) distQSeg(P, rank int) *qBundle {
 // vector — how the fault-tolerant energy phase resurrects a dead rank's
 // bundle without its owner.
 func (s *System) distABundle(P, segRank int, radiiFull []float64) *aBundle {
-	seg := s.distAtomSeg(P, segRank)
+	seg := s.atomSeg(P, segRank)
 	radii := make([]float64, len(seg.idx))
 	for k, ai := range seg.idx {
 		radii[k] = radiiFull[ai]
 	}
-	return buildABundle(seg.pos, seg.charge, radii, s.Params.LeafAtoms)
+	return &aBundle{view: seg.view, radii: radii}
+}
+
+// segBorn computes one atom segment's Born radii: its atoms against all P
+// quadrature segments, which next(k), k = 0..P−1, supplies (the ring
+// delivers them in round order, a local rebuild in segment order), then
+// PUSH-INTEGRALS over the segment's own tree. Returns the radii in
+// segment order; ops are charged to the calling rank.
+func (s *System) segBorn(seg *atomSeg, P int, next func(k int) (*qBundle, error), ops *int64) ([]float64, error) {
+	view := seg.view
+	acc := view.newBornAccum()
+	for k := 0; k < P; k++ {
+		qb, err := next(k)
+		if err != nil {
+			return nil, err
+		}
+		//lint:ignore hotalloc one pass descriptor per remote segment, amortized over a full tree sweep
+		bp := &bornPass{
+			ta: view.TA, atomPos: view.atomPos,
+			tq: qb.tree, qpts: qb.pts,
+			normals: qb.normals, moments: qb.moments, moments2: qb.moments2,
+			beta: s.bornBeta(), ord: s.order(), r4: s.Params.Integral == IntegralR4,
+		}
+		for _, q := range qb.tree.Leaves() {
+			*ops += bp.run(view.TA.Root(), q, acc)
+		}
+	}
+	radii := make([]float64, view.NumAtoms())
+	*ops += view.PushIntegralsToAtoms(acc, 0, view.NumAtoms(), radii)
+	return radii, nil
 }
 
 // distSegRadii computes segment segRank's Born radii entirely locally —
 // its atoms against every quadrature segment, all rebuilt from replicated
 // input. This is the adoption path a survivor runs for a dead rank's
-// segment. Returns (atom index, radius) pairs; ops are charged to the
-// adopter.
-func (s *System) distSegRadii(P, segRank int, ops *int64) []float64 {
-	beta := s.bornBeta()
-	ord := s.order()
-	r4 := s.Params.Integral == IntegralR4
-	seg := s.distAtomSeg(P, segRank)
-	atomTree := octree.Build(seg.pos, s.Params.LeafAtoms)
-	acc := &bornAccum{
-		nodeS: make([]float64, atomTree.NumNodes()),
-		nodeG: make([]geom.Vec3, atomTree.NumNodes()),
-		atomS: make([]float64, len(seg.pos)),
-	}
-	if ord == OrderQuadrupole {
-		acc.nodeH = make([]geom.Mat3, atomTree.NumNodes())
-	}
-	for q := 0; q < P; q++ {
-		qb := s.distQSeg(P, q)
-		//lint:ignore hotalloc one pass descriptor per remote segment, amortized over a full tree sweep
-		bp := &bornPass{
-			ta: atomTree, atomPos: seg.pos,
-			tq: qb.tree, qpts: qb.pts,
-			normals: qb.normals, moments: qb.moments, moments2: qb.moments2,
-			beta: beta, ord: ord, r4: r4,
-		}
-		for _, ql := range qb.tree.Leaves() {
-			*ops += bp.run(atomTree.Root(), ql, acc)
-		}
-	}
-	radii := make([]float64, len(seg.pos))
-	*ops += pushLocal(atomTree, seg.pos, seg.intrinsic, acc, radii, r4)
-	pairs := make([]float64, 0, 2*len(radii))
-	for k, r := range radii {
-		pairs = append(pairs, float64(seg.idx[k]), r)
-	}
-	return pairs
+// segment; ops are charged to the adopter.
+func (s *System) distSegRadii(P, segRank int, ops *int64) (*atomSeg, []float64, error) {
+	seg := s.atomSeg(P, segRank)
+	radii, err := s.segBorn(seg, P, func(q int) (*qBundle, error) { return s.distQSeg(P, q), nil }, ops)
+	return seg, radii, err
 }
 
-// distSegEnergy computes segment vSeg's V-side energy — own×own plus
-// every cross direction U→vSeg — entirely locally from the full radii
-// vector. Coverage matches the ring protocol: each ordered cross pair is
-// produced exactly once as long as every segment has exactly one owner.
-func (s *System) distSegEnergy(P, vSeg int, radiiFull []float64, rmin, rmax float64, ops *int64) float64 {
+// segEnergy computes one V segment's energy share: its own×own ordered
+// pairs plus the cross direction U→V for each of the other P−1 segments,
+// which next(k), k = 1..P−1, supplies. Only that one direction: the
+// opposite one is V's turn as a U, so over all segments every ordered
+// cross pair is counted exactly once. Aggregates of every segment span
+// the shared radius range [rmin, rmax].
+func (s *System) segEnergy(v *aBundle, P int, rmin, rmax float64, next func(k int) (*aBundle, error), ops *int64) (float64, error) {
 	kernel := pairEnergyKernel(s.Params.Math)
 	factor := s.epolFactor()
-	vb := s.distABundle(P, vSeg, radiiFull)
-	vView, vAgg := bundleView(s.Params, vb, rmin, rmax)
+	vt := v.view.TA
+	vAgg := v.view.buildEpolAggregatesRange(v.radii, rmin, rmax)
 	partial := 0.0
-	for _, v := range vb.tree.Leaves() {
-		vs, vops := vView.approxEpol(vb.tree.Root(), v, vb.radii, vAgg, kernel, factor, nil)
+	for _, leaf := range vt.Leaves() {
+		vs, vops := v.view.approxEpol(vt.Root(), leaf, v.radii, vAgg, kernel, factor, nil)
 		partial += vs
 		*ops += vops
 	}
-	for u := 0; u < P; u++ {
-		if u == vSeg {
-			continue
+	for k := 1; k < P; k++ {
+		u, err := next(k)
+		if err != nil {
+			return 0, err
 		}
-		ub := s.distABundle(P, u, radiiFull)
-		uView, uAgg := bundleView(s.Params, ub, rmin, rmax)
 		//lint:ignore hotalloc one pass descriptor per remote segment, amortized over a full tree sweep
 		ep := &epolCrossPass{
-			u: uView, uAgg: uAgg, uRadii: ub.radii,
-			v: vView, vAgg: vAgg, vRadii: vb.radii,
+			u: u.view, uAgg: u.view.buildEpolAggregatesRange(u.radii, rmin, rmax), uRadii: u.radii,
+			v: v.view, vAgg: vAgg, vRadii: v.radii,
 			kernel: kernel, factor: factor,
 		}
-		for _, v := range vb.tree.Leaves() {
-			vs, vops := ep.run(ub.tree.Root(), v)
+		for _, leaf := range vt.Leaves() {
+			vs, vops := ep.run(u.view.TA.Root(), leaf)
 			partial += vs
 			*ops += vops
 		}
 	}
-	return partial
+	return partial, nil
+}
+
+// distSegEnergy computes segment vSeg's V-side energy entirely locally
+// from the full radii vector, the other segments taken in ascending
+// order. Coverage matches the ring protocol as long as every segment has
+// exactly one owner.
+func (s *System) distSegEnergy(P, vSeg int, radiiFull []float64, rmin, rmax float64, ops *int64) (float64, error) {
+	return s.segEnergy(s.distABundle(P, vSeg, radiiFull), P, rmin, rmax, func(k int) (*aBundle, error) {
+		u := k - 1
+		if u >= vSeg {
+			u = k
+		}
+		return s.distABundle(P, u, radiiFull), nil
+	}, ops)
 }
 
 // segOwner maps a data segment to the live rank that computes for it: a
@@ -273,437 +277,209 @@ func segOwner(segRank int, lost, live []int) int {
 // (the rebuild is exact), just wasted compute.
 const distRecvDeadline = 2 * time.Second
 
-// RunMPIDistributedData computes Epol with both data AND computation
-// distributed over P ranks: per-rank memory is O(data/P) plus one
-// transient remote bundle, at the cost of P−1 ring-exchange rounds per
-// phase and a slightly different (multi-tree) decomposition.
-func (s *System) RunMPIDistributedData(P int) (*Result, error) {
-	return s.runDistData(P, nil)
+// segRun is one rank's state under the Segmented scheme: its own atom
+// segment and that segment's Born radii, plus the shared radius range of
+// the energy aggregates.
+type segRun struct {
+	*rankRun
+	own        *atomSeg
+	radii      []float64 // own segment's Born radii, in segment order
+	rmin, rmax float64
 }
 
-// RunMPIDistributedDataWithFaults is RunMPIDistributedData under fault
-// injection. Dropped ring messages are retried with backoff; a dead
-// peer's quadrature bundle is rebuilt locally from the replicated input;
-// a dead rank's atom segment is adopted by a survivor that recomputes its
-// radii; and the energy phase either re-assigns dead owners' segments
-// (Recover) or reports the partial energy with a rigorous ErrorBound
-// (Degrade).
-func (s *System) RunMPIDistributedDataWithFaults(P int, cfg *FaultConfig) (*Result, error) {
-	return s.runDistData(P, cfg)
-}
-
-func (s *System) runDistData(P int, cfg *FaultConfig) (*Result, error) {
-	if P < 1 {
-		return nil, fmt.Errorf("gb: invalid layout: processes P=%d must be positive", P)
-	}
-	if P > s.NumAtoms() || P > s.NumQPoints() {
-		return nil, fmt.Errorf("gb: invalid layout: P=%d exceeds the %d atoms / %d quadrature points to distribute",
-			P, s.NumAtoms(), s.NumQPoints())
-	}
-	sw := perf.StartTimer()
-	perCoreOps := make([]int64, P)
-	beta := s.bornBeta()
-	ord := s.order()
-	r4 := s.Params.Integral == IntegralR4
-	ft := cfg.active()
-
-	type rankOutcome struct {
-		done      bool
-		energy    float64
-		radii     []float64
-		degraded  bool
-		bound     float64
-		recovered bool
-	}
-	outs := make([]rankOutcome, P)
-
-	traffic, err := simmpi.RunPlan(P, cfg.plan(), func(c *simmpi.Comm) error {
-		rank := c.Rank()
-		var lost, live []int
-		recovered := false
-		if ft {
-			var err error
-			if lost, err = agreeLost(c); err != nil {
-				return err
-			}
-			live = liveRanksOf(P, lost)
+// segIntegrals is the Segmented integrals phase: the own atom segment
+// against every quadrature segment — the own bundle, then one bundle per
+// ring round — followed by the push over the segment's own tree.
+func (r *rankRun) segIntegrals() (*segRun, error) {
+	s := r.s
+	sp := r.rec.StartSpan(r.rank, spanBorn)
+	g := &segRun{rankRun: r, own: s.atomSeg(r.P, r.rank)}
+	ownQ := s.distQSeg(r.P, r.rank)
+	ownEnc := ownQ.encode()
+	var err error
+	g.radii, err = s.segBorn(g.own, r.P, func(round int) (*qBundle, error) {
+		if round == 0 {
+			return ownQ, nil
 		}
-
-		// ---- Own segments (in global octree item order, so segment
-		// boundaries match the shared-data drivers) -----------------------
-		aseg := s.distAtomSeg(P, rank)
-		qb := s.distQSeg(P, rank)
-		ownQEnc := qb.encode()
-
-		// ---- Born phase: own atoms × all quadrature segments ------------
-		atomTree := octree.Build(aseg.pos, s.Params.LeafAtoms)
-		acc := &bornAccum{
-			nodeS: make([]float64, atomTree.NumNodes()),
-			nodeG: make([]geom.Vec3, atomTree.NumNodes()),
-			atomS: make([]float64, len(aseg.pos)),
-		}
-		if ord == OrderQuadrupole {
-			acc.nodeH = make([]geom.Mat3, atomTree.NumNodes())
-		}
-		process := func(b *qBundle) {
-			bp := &bornPass{
-				ta: atomTree, atomPos: aseg.pos,
-				tq: b.tree, qpts: b.pts,
-				normals: b.normals, moments: b.moments, moments2: b.moments2,
-				beta: beta, ord: ord, r4: r4,
-			}
-			for _, q := range b.tree.Leaves() {
-				perCoreOps[rank] += bp.run(atomTree.Root(), q, acc)
-			}
-		}
-		process(qb)
-		for round := 1; round < P && P > 1; round++ {
-			dst := (rank + round) % P
-			src := (rank - round + P) % P
-			if !ft {
-				if err := c.Send(dst, ownQEnc); err != nil {
-					return err
-				}
-				data, err := c.Recv(src)
-				if err != nil {
-					return err
-				}
-				process(decodeQ(data, s.Params.LeafQPoints, ord)) // transient
-				continue
-			}
-			// Fault-tolerant ring round: retry dropped sends with backoff;
-			// a dead destination just misses a bundle it can rebuild; a
-			// dead, exhausted, or too-slow source's bundle is rebuilt here.
-			if err := sendRetry(c, dst, ownQEnc, cfg); err != nil {
-				var lostErr *simmpi.RankLostError
-				if !errors.As(err, &lostErr) && !errors.Is(err, simmpi.ErrDropped) {
-					return err
-				}
-			}
-			data, err := c.RecvTimeout(src, distRecvDeadline)
-			if err != nil {
-				// A corrupted bundle (checksum mismatch) is handled exactly
-				// like a lost or too-slow source: the data is shared, so the
-				// receiver rebuilds the segment locally instead of trusting
-				// damaged floats.
-				var lostErr *simmpi.RankLostError
-				if !errors.As(err, &lostErr) && !errors.Is(err, simmpi.ErrTimeout) &&
-					!errors.Is(err, simmpi.ErrCorrupt) {
-					return err
-				}
-				process(s.distQSeg(P, src))
-				recovered = true
-				continue
-			}
-			process(decodeQ(data, s.Params.LeafQPoints, ord))
-		}
-
-		// Push integrals over the LOCAL tree.
-		radii := make([]float64, len(aseg.pos))
-		perCoreOps[rank] += pushLocal(atomTree, aseg.pos, aseg.intrinsic, acc, radii, r4)
-
-		ownPairs := make([]float64, 0, 2*len(radii))
-		for k, r := range radii {
-			ownPairs = append(ownPairs, float64(aseg.idx[k]), r)
-		}
-
-		radiiFull := make([]float64, s.NumAtoms())
-		if !ft {
-			// Publish radii so the master can assemble the full vector.
-			all, err := c.Allgatherv(ownPairs)
-			if err != nil {
-				return err
-			}
-			if rank == 0 {
-				for i := 0; i+1 < len(all); i += 2 {
-					radiiFull[int(all[i])] = all[i+1]
-				}
-			}
-		} else {
-			// Heal loop: survivors adopt dead ranks' segments (recomputing
-			// their radii from replicated input), the pairs gather repeats
-			// until membership is stable, and EVERY rank assembles the full
-			// vector — the energy phase reconstructs bundles from it.
-			for iter := 0; ; iter++ {
-				if iter > P {
-					return fmt.Errorf("gb: distdata radii heal did not converge")
-				}
-				if err := c.Tick(); err != nil {
-					return err
-				}
-				// Own segment plus up to len(lost) adopted segments of
-				// comparable size.
-				//lint:ignore hotalloc collective payload: simmpi slots retain the contributed slice, so each heal round needs a fresh buffer
-				flat := make([]float64, 0, len(ownPairs)*(1+len(lost)))
-				flat = append(flat, ownPairs...)
-				for i, d := range lost {
-					if live[i%len(live)] == rank {
-						flat = append(flat, s.distSegRadii(P, d, &perCoreOps[rank])...)
-					}
-				}
-				all, err := c.Allgatherv(flat)
-				if err != nil {
-					return err
-				}
-				newLost, err := agreeLost(c)
-				if err != nil {
-					return err
-				}
-				if !equalInts(newLost, lost) {
-					lost, live = newLost, liveRanksOf(P, newLost)
-					recovered = true
-					continue
-				}
-				if len(lost) > 0 {
-					recovered = true
-				}
-				for i := 0; i+1 < len(all); i += 2 {
-					radiiFull[int(all[i])] = all[i+1]
-				}
-				break
-			}
-		}
-
-		// ---- Epol phase: shared radius-class range ----------------------
-		var rmin, rmax float64
-		if !ft {
-			localMin, localMax := math.Inf(1), math.Inf(-1)
-			for _, r := range radii {
-				localMin, localMax = math.Min(localMin, r), math.Max(localMax, r)
-			}
-			mins, err := c.Allreduce([]float64{localMin}, simmpi.Min)
-			if err != nil {
-				return err
-			}
-			maxs, err := c.Allreduce([]float64{localMax}, simmpi.Max)
-			if err != nil {
-				return err
-			}
-			rmin, rmax = mins[0], maxs[0]
-		} else {
-			// The full vector is local under the fault-tolerant protocol;
-			// the range needs no collective (and no dead-rank gap).
-			rmin, rmax = math.Inf(1), math.Inf(-1)
-			for _, r := range radiiFull {
-				rmin, rmax = math.Min(rmin, r), math.Max(rmax, r)
-			}
-		}
-
-		energy := 0.0
-		degraded := false
-		bound := 0.0
-		if !ft {
-			ab := buildABundle(aseg.pos, aseg.charge, radii, s.Params.LeafAtoms)
-			ownAEnc := ab.encode()
-			ownView, ownAgg := bundleView(s.Params, ab, rmin, rmax)
-
-			kernel := pairEnergyKernel(s.Params.Math)
-			factor := s.epolFactor()
-			partial := 0.0
-			// Own × own (ordered pairs within the segment).
-			for _, v := range ab.tree.Leaves() {
-				vs, vops := ownView.approxEpol(ab.tree.Root(), v, ab.radii, ownAgg, kernel, factor, nil)
-				partial += vs
-				perCoreOps[rank] += vops
-			}
-			// Own × every remote segment: each rank computes the ordered
-			// pairs (remote atom, own atom) with U the remote tree and V its
-			// own leaves; over all ranks every cross ordered pair is counted
-			// once.
-			for round := 1; round < P && P > 1; round++ {
-				dst := (rank + round) % P
-				src := (rank - round + P) % P
-				if err := c.Send(dst, ownAEnc); err != nil {
-					return err
-				}
-				data, err := c.Recv(src)
-				if err != nil {
-					return err
-				}
-				remote := decodeA(data, s.Params.LeafAtoms)
-				remView, remAgg := bundleView(s.Params, remote, rmin, rmax)
-				//lint:ignore hotalloc one pass descriptor per received bundle, amortized over a full tree sweep
-				ep := &epolCrossPass{
-					u: remView, uAgg: remAgg, uRadii: remote.radii,
-					v: ownView, vAgg: ownAgg, vRadii: ab.radii,
-					kernel: kernel, factor: factor,
-				}
-				for _, v := range ab.tree.Leaves() {
-					vs, vops := ep.run(remote.tree.Root(), v)
-					// Ordered pairs in one direction only: remote→own. The
-					// opposite direction is produced by the remote rank's
-					// round against us, so no doubling here.
-					partial += vs
-					perCoreOps[rank] += vops
-				}
-			}
-			sum, err := c.Allreduce([]float64{partial}, simmpi.Sum)
-			if err != nil {
-				return err
-			}
-			energy = -0.5 * Tau(s.Params.EpsSolvent) * CoulombKcal * sum[0]
-		} else {
-			// Fault-tolerant energy phase: every segment (dead owners
-			// included) is assigned to exactly one live rank, which
-			// reconstructs the bundles it needs from the full radii vector.
-			// No ring traffic — deaths cannot corrupt pair coverage, and
-			// the heal loop below re-assigns on further losses.
-			for iter := 0; ; iter++ {
-				if iter > P {
-					return fmt.Errorf("gb: distdata energy heal did not converge")
-				}
-				if err := c.Tick(); err != nil {
-					return err
-				}
-				partial := 0.0
-				for seg := 0; seg < P; seg++ {
-					if segOwner(seg, lost, live) == rank {
-						partial += s.distSegEnergy(P, seg, radiiFull, rmin, rmax, &perCoreOps[rank])
-					}
-				}
-				//lint:ignore hotalloc single-element reduce operand; simmpi slots retain it, so each heal round contributes a fresh slice
-				sum, err := c.Allreduce([]float64{partial}, simmpi.Sum)
-				if err != nil {
-					return err
-				}
-				newLost, err := agreeLost(c)
-				if err != nil {
-					return err
-				}
-				if equalInts(newLost, lost) {
-					energy = -0.5 * Tau(s.Params.EpsSolvent) * CoulombKcal * sum[0]
-					break
-				}
-				if cfg.Policy == Recover {
-					lost, live = newLost, liveRanksOf(P, newLost)
-					recovered = true
-					continue
-				}
-				// Degrade: bound the V-side energy mass of every segment the
-				// newly dead ranks owned this iteration.
-				var deadAtoms []int32
-				j := 0
-				for _, d := range newLost {
-					for j < len(lost) && lost[j] < d {
-						j++
-					}
-					if j < len(lost) && lost[j] == d {
-						continue
-					}
-					for seg := 0; seg < P; seg++ {
-						if segOwner(seg, lost, live) == d {
-							alo, ahi := segment(s.NumAtoms(), P, seg)
-							//lint:ignore hotalloc cold degrade path; the adopted-atom count is unknown until the ownership walk completes
-							deadAtoms = append(deadAtoms, s.TA.Items[alo:ahi]...)
-						}
-					}
-				}
-				energy = -0.5 * Tau(s.Params.EpsSolvent) * CoulombKcal * sum[0]
-				bound = s.degradedBound(deadAtoms)
-				degraded = true
-				break
-			}
-		}
-
-		out := &outs[rank]
-		out.energy = energy
-		out.radii = radiiFull
-		out.degraded = degraded
-		out.bound = bound
-		out.recovered = recovered
-		out.done = true
-		return nil
-	})
+		return r.ringQ(round, ownEnc)
+	}, &r.ops[0])
 	if err != nil {
 		return nil, err
 	}
-	winner := -1
-	for r := 0; r < P; r++ {
-		if outs[r].done {
-			winner = r
-			break
-		}
-	}
-	if winner < 0 {
-		return nil, fmt.Errorf("gb: no rank survived the run (lost ranks %v)", traffic.LostRanks)
-	}
-	w := &outs[winner]
-	return &Result{
-		Epol: w.energy, Born: w.radii,
-		Processes: P, ThreadsPerProcess: 1,
-		PerCoreOps: perCoreOps,
-		Traffic:    traffic,
-		Wall:       sw.Elapsed(),
-		Degraded:   w.degraded,
-		ErrorBound: w.bound,
-		LostRanks:  traffic.LostRanks,
-		Recovered:  w.recovered,
-	}, nil
+	sp.End()
+	return g, nil
 }
 
-// pushLocal is PUSH-INTEGRALS over a standalone segment tree. The
-// quadratic carry mirrors System.pushIntegrals: the Hessian branches are
-// guarded on acc.nodeH so the p≤1 arithmetic is untouched.
-func pushLocal(tree *octree.Tree, pos []geom.Vec3, intrinsic []float64,
-	acc *bornAccum, radii []float64, r4 bool) int64 {
-	var walk func(a int32, carryS float64, carryG geom.Vec3, carryH geom.Mat3) int64
-	walk = func(a int32, carryS float64, carryG geom.Vec3, carryH geom.Mat3) int64 {
-		n := &tree.Nodes[a]
-		carryS += acc.nodeS[a]
-		carryG = carryG.Add(acc.nodeG[a])
-		if acc.nodeH != nil {
-			for t := 0; t < 9; t++ {
-				carryH[t] += acc.nodeH[a][t]
-			}
+// ringQ runs one Born ring round: ship the own quadrature bundle to the
+// rank `round` places downstream and take the bundle of the rank `round`
+// places upstream (transient: it is dropped after its pass). Under the
+// fault protocol dropped sends are retried with backoff, a dead
+// destination just misses a bundle it can rebuild, and a dead, exhausted,
+// too-slow or corrupting source's bundle is rebuilt here from the
+// replicated input instead of trusting damaged floats.
+func (r *rankRun) ringQ(round int, ownEnc []float64) (*qBundle, error) {
+	s := r.s
+	dst, src := (r.rank+round)%r.P, (r.rank-round+r.P)%r.P
+	if !r.ft {
+		if err := r.c.Send(dst, ownEnc); err != nil {
+			return nil, err
 		}
-		if n.Leaf {
-			for _, it := range tree.ItemsOf(a) {
-				xi := pos[it].Sub(n.Center)
-				v := acc.atomS[it] + carryS + carryG.Dot(xi)
-				if acc.nodeH != nil {
-					v += 0.5 * xi.Dot(carryH.MulVec(xi))
-				}
-				if r4 {
-					radii[it] = bornRadiusFromIntegralR4(v, intrinsic[it])
-				} else {
-					radii[it] = bornRadiusFromIntegral(v, intrinsic[it])
-				}
-			}
-			return 1
+		data, err := r.c.Recv(src)
+		if err != nil {
+			return nil, err
 		}
-		ops := int64(1)
-		for _, ch := range n.Children {
-			if ch != octree.NoChild {
-				shift := tree.Nodes[ch].Center.Sub(n.Center)
-				cs := carryS + carryG.Dot(shift)
-				cg := carryG
-				if acc.nodeH != nil {
-					hs := carryH.MulVec(shift)
-					cs += 0.5 * shift.Dot(hs)
-					cg = cg.Add(hs)
-				}
-				ops += walk(ch, cs, cg, carryH)
-			}
-		}
-		return ops
+		return decodeQ(data, s.Params.LeafQPoints, s.order()), nil
 	}
-	return walk(tree.Root(), 0, geom.Vec3{}, geom.Mat3{})
+	var lostErr *simmpi.RankLostError
+	if err := sendRetry(r.c, dst, ownEnc, r.cfg); err != nil &&
+		!errors.As(err, &lostErr) && !errors.Is(err, simmpi.ErrDropped) {
+		return nil, err
+	}
+	data, err := r.c.RecvTimeout(src, distRecvDeadline)
+	if err != nil {
+		if !errors.As(err, &lostErr) && !errors.Is(err, simmpi.ErrTimeout) &&
+			!errors.Is(err, simmpi.ErrCorrupt) {
+			return nil, err
+		}
+		r.recovered = true
+		return s.distQSeg(r.P, src), nil
+	}
+	return decodeQ(data, s.Params.LeafQPoints, s.order()), nil
 }
 
-// bundleView wraps an atom bundle as the minimal System view the energy
-// traversals need (they read Mol.Atoms[i].Charge and atomPos), with
-// aggregates over the shared radius range.
-func bundleView(params Params, b *aBundle, rmin, rmax float64) (*System, *epolAggregates) {
-	atoms := make([]molecule.Atom, len(b.pos))
-	for i := range atoms {
-		atoms[i] = molecule.Atom{Pos: b.pos[i], Radius: 1, Charge: b.charge[i]}
+// gatherRadii assembles the full radii vector on every rank from (atom
+// index, radius) pairs. Under the fault protocol survivors also adopt the
+// lost ranks' segments, recomputing their radii from replicated input,
+// and the gather repeats until membership is stable: the energy phase
+// reconstructs bundles from the full vector.
+func (g *segRun) gatherRadii(radii []float64) error {
+	s := g.s
+	var all []float64
+	err := g.heal(spanPush, func() error {
+		// Own segment plus up to len(lost) adopted segments of comparable
+		// size.
+		flat := make([]float64, 0, 2*len(g.radii)*(1+len(g.lost)))
+		flat = appendPairs(flat, g.own.idx, g.radii)
+		for _, d := range g.lost {
+			if segOwner(d, g.lost, g.live) != g.rank {
+				continue
+			}
+			seg, rd, err := s.distSegRadii(g.P, d, &g.ops[0])
+			if err != nil {
+				return err
+			}
+			flat = appendPairs(flat, seg.idx, rd)
+		}
+		var err error
+		all, err = g.c.Allgatherv(flat)
+		return err
+	}, nil)
+	if err != nil {
+		return err
 	}
-	view := &System{
-		Params:  params,
-		Mol:     &molecule.Molecule{Name: "segment", Atoms: atoms},
-		TA:      b.tree,
-		atomPos: b.pos,
+	if len(g.lost) > 0 {
+		g.recovered = true
 	}
-	agg := view.buildEpolAggregatesRange(b.radii, rmin, rmax)
-	return view, agg
+	scatterPairs(radii, all)
+	return nil
+}
+
+// appendPairs appends (atom index, radius) pairs for one segment.
+func appendPairs(dst []float64, idx []int32, radii []float64) []float64 {
+	for k, r := range radii {
+		dst = append(dst, float64(idx[k]), r)
+	}
+	return dst
+}
+
+// radiusRange agrees on the radius range every segment's energy
+// aggregates span. Under the fault protocol the full vector is local, so
+// the range needs no collective (and no dead-rank gap).
+func (g *segRun) radiusRange(radiiFull []float64) error {
+	if g.ft {
+		g.rmin, g.rmax = minMax(radiiFull)
+		return nil
+	}
+	lmin, lmax := minMax(g.radii)
+	mins, err := g.c.Allreduce([]float64{lmin}, simmpi.Min)
+	if err != nil {
+		return err
+	}
+	maxs, err := g.c.Allreduce([]float64{lmax}, simmpi.Max)
+	if err != nil {
+		return err
+	}
+	g.rmin, g.rmax = mins[0], maxs[0]
+	return nil
+}
+
+func minMax(xs []float64) (lo, hi float64) {
+	lo, hi = math.Inf(1), math.Inf(-1)
+	for _, x := range xs {
+		lo, hi = math.Min(lo, x), math.Max(hi, x)
+	}
+	return lo, hi
+}
+
+// energy is the Segmented energy phase; it returns the raw pair sum.
+// Without faults the own atom bundle circulates through the ring like the
+// quadrature bundles did. Under the fault protocol there is no ring
+// traffic: every segment, dead owners' included, is assigned to exactly
+// one live rank (segOwner), which reconstructs the bundles it needs from
+// the full radii vector — deaths cannot corrupt pair coverage, and the
+// heal loop re-assigns on further losses.
+func (g *segRun) energy(radiiFull []float64) (float64, error) {
+	s := g.s
+	var sum float64
+	err := g.heal(spanEpol, func() error {
+		partial := 0.0
+		if g.ft {
+			for seg := 0; seg < g.P; seg++ {
+				if segOwner(seg, g.lost, g.live) != g.rank {
+					continue
+				}
+				e, err := s.distSegEnergy(g.P, seg, radiiFull, g.rmin, g.rmax, &g.ops[0])
+				if err != nil {
+					return err
+				}
+				partial += e
+			}
+		} else {
+			own := &aBundle{view: g.own.view, radii: g.radii}
+			ownEnc := own.encode()
+			var err error
+			partial, err = s.segEnergy(own, g.P, g.rmin, g.rmax, func(round int) (*aBundle, error) {
+				dst, src := (g.rank+round)%g.P, (g.rank-round+g.P)%g.P
+				if err := g.c.Send(dst, ownEnc); err != nil {
+					return nil, err
+				}
+				data, err := g.c.Recv(src)
+				if err != nil {
+					return nil, err
+				}
+				return decodeA(data, s.Params), nil
+			}, &g.ops[0])
+			if err != nil {
+				return err
+			}
+		}
+		out, err := g.c.Allreduce([]float64{partial}, simmpi.Sum)
+		if err != nil {
+			return err
+		}
+		sum = out[0]
+		return nil
+	}, func(d int) []int32 {
+		// The V-side atoms of every segment the dead rank owned.
+		var atoms []int32
+		for seg := 0; seg < g.P; seg++ {
+			if segOwner(seg, g.lost, g.live) == d {
+				alo, ahi := segment(s.NumAtoms(), g.P, seg)
+				//lint:ignore hotalloc cold degrade path; the adopted-atom count is unknown until the ownership walk completes
+				atoms = append(atoms, s.TA.Items[alo:ahi]...)
+			}
+		}
+		return atoms
+	})
+	return sum, err
 }

@@ -1,10 +1,8 @@
 package gb
 
 import (
-	"fmt"
 	"runtime"
 
-	"gbpolar/internal/perf"
 	"gbpolar/internal/simmpi"
 )
 
@@ -15,6 +13,12 @@ import (
 // stealing. Rank 0 acts as a coordinator serving guided-self-scheduling
 // chunks of leaf work to the compute ranks on demand, so ranks that drew
 // cheap leaves ask for more instead of idling at the phase barrier.
+//
+// RunSpec{Scheme: Dynamic} selects it: reduceLeaves hands the integral
+// and energy phases' node-division leaves out through coordinate and
+// drainChunks instead of the static share. One rank is sacrificed to
+// coordination (P ≥ 2); the cheap, uniform radii pass keeps static
+// segments over the P−1 compute ranks (rankRun.share).
 
 // chunk-protocol message layout: a worker sends {workerRank}; the
 // coordinator answers {lo, hi} (hi ≤ lo means "phase drained").
@@ -91,124 +95,4 @@ func drainChunks(c *simmpi.Comm, fn func(lo, hi int)) error {
 		}
 		fn(lo, hi)
 	}
-}
-
-// RunMPIDynamic is OCT_MPI with explicit dynamic load balancing across
-// ranks: rank 0 coordinates, ranks 1..P−1 compute leaf chunks on demand.
-// One rank is sacrificed to coordination (P must be ≥ 2); the payoff is
-// that per-rank work tracks the realized leaf costs instead of the
-// static segment sizes — the cross-rank analogue of the within-rank work
-// stealing, and the paper's proposed future extension.
-func (s *System) RunMPIDynamic(P int) (*Result, error) {
-	if P < 2 {
-		return nil, fmt.Errorf("gb: dynamic load balancing needs P ≥ 2 (one coordinator), got %d", P)
-	}
-	if P-1 > s.NumAtoms() {
-		return nil, fmt.Errorf("gb: invalid layout: %d compute ranks exceed the %d atoms to distribute",
-			P-1, s.NumAtoms())
-	}
-	sw := perf.StartTimer()
-	perCoreOps := make([]int64, P)
-	radiiOut := make([]float64, s.NumAtoms())
-	energy := 0.0
-
-	traffic, err := simmpi.Run(P, func(c *simmpi.Comm) error {
-		rank := c.Rank()
-
-		// ---- Phase 1+2: Born integrals, dynamic chunks of q-leaves ----
-		acc := s.newBornAccum()
-		if rank == 0 {
-			if err := coordinate(c, len(s.qLeaves)); err != nil {
-				return err
-			}
-		} else {
-			err := drainChunks(c, func(lo, hi int) {
-				ops := int64(0)
-				for _, q := range s.qLeaves[lo:hi] {
-					ops += s.ApproxIntegrals(s.TA.Root(), q, acc)
-				}
-				perCoreOps[rank] += ops
-			})
-			if err != nil {
-				return err
-			}
-		}
-
-		// ---- Phase 3: merge partial integrals --------------------------
-		merged, err := c.Allreduce(acc.encode(), simmpi.Sum)
-		if err != nil {
-			return err
-		}
-		acc.decode(merged)
-
-		// ---- Phase 4+5: Born radii (static atom segments over the P−1
-		// compute ranks — this pass is cheap and uniform) ----------------
-		radii := make([]float64, s.NumAtoms())
-		if rank > 0 {
-			alo, ahi := segment(s.NumAtoms(), P-1, rank-1)
-			perCoreOps[rank] += s.PushIntegralsToAtoms(acc, alo, ahi, radii)
-			seg := make([]float64, 0, ahi-alo)
-			for pos := alo; pos < ahi; pos++ {
-				seg = append(seg, radii[s.TA.Items[pos]])
-			}
-			all, err := c.Allgatherv(seg)
-			if err != nil {
-				return err
-			}
-			for pos, r := range all {
-				radii[s.TA.Items[pos]] = r
-			}
-		} else {
-			all, err := c.Allgatherv(nil)
-			if err != nil {
-				return err
-			}
-			for pos, r := range all {
-				radii[s.TA.Items[pos]] = r
-			}
-		}
-
-		// ---- Phase 6: energy, dynamic chunks of atom leaves ------------
-		agg := s.buildEpolAggregates(radii)
-		partial := 0.0
-		if rank == 0 {
-			if err := coordinate(c, len(s.aLeaves)); err != nil {
-				return err
-			}
-		} else {
-			err := drainChunks(c, func(lo, hi int) {
-				ops := int64(0)
-				for _, v := range s.aLeaves[lo:hi] {
-					vs, vops := s.ApproxEpol(s.TA.Root(), v, radii, agg)
-					partial += vs
-					ops += vops
-				}
-				perCoreOps[rank] += ops
-			})
-			if err != nil {
-				return err
-			}
-		}
-
-		// ---- Phase 7: final reduction ----------------------------------
-		sum, err := c.Allreduce([]float64{partial}, simmpi.Sum)
-		if err != nil {
-			return err
-		}
-		if rank == 0 {
-			energy = -0.5 * Tau(s.Params.EpsSolvent) * CoulombKcal * sum[0]
-			copy(radiiOut, radii)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Epol: energy, Born: radiiOut,
-		Processes: P, ThreadsPerProcess: 1,
-		PerCoreOps: perCoreOps,
-		Traffic:    traffic,
-		Wall:       sw.Elapsed(),
-	}, nil
 }

@@ -214,6 +214,23 @@ func liveShare(n int, live, stragglers []int, rank int) (lo, hi int) {
 	return 0, 0 // rank not in the live set: empty share
 }
 
+// newlyLost lists the ranks of the agreed set next that the previous
+// agreed set prev lacks (both sorted, as agreeLost produces them).
+func newlyLost(prev, next []int) []int {
+	out := make([]int, 0, len(next))
+	j := 0
+	for _, d := range next {
+		for j < len(prev) && prev[j] < d {
+			j++
+		}
+		if j < len(prev) && prev[j] == d {
+			continue // lost before this phase: share already re-assigned
+		}
+		out = append(out, d)
+	}
+	return out
+}
+
 func equalInts(a, b []int) bool {
 	if len(a) != len(b) {
 		return false

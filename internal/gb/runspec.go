@@ -9,15 +9,54 @@ import (
 	"gbpolar/internal/sched"
 )
 
+// Scheme selects how a distributed run divides data and work over its
+// ranks. The paper's conclusion proposes the two non-default schemes as
+// future work; all three run the same integrals → radii → energy phase
+// skeleton with one heal path.
+type Scheme int
+
+const (
+	// Replicated is the paper's layout (§IV-A): every rank holds the whole
+	// system and computes a static share of every phase (under faults, a
+	// share of the agreed live set, straggler-weighted).
+	Replicated Scheme = iota
+	// Dynamic replicates the data like Replicated, but rank 0 coordinates:
+	// it serves guided-self-scheduling chunks of the node-division leaf
+	// work to ranks 1..P−1 on demand, so per-rank work tracks realized
+	// leaf costs (dynamic.go). Needs P ≥ 2; no faults.
+	Dynamic
+	// Segmented distributes data as well as computation: each rank owns
+	// one atom segment and one quadrature segment and builds octrees over
+	// just its data, and serialized tree bundles ring-exchange, so per-rank
+	// memory is O(data/P) plus one transient remote bundle (distdata.go).
+	Segmented
+)
+
+// String implements fmt.Stringer.
+func (sc Scheme) String() string {
+	switch sc {
+	case Replicated:
+		return "replicated"
+	case Dynamic:
+		return "dynamic"
+	case Segmented:
+		return "segmented"
+	}
+	return fmt.Sprintf("Scheme(%d)", int(sc))
+}
+
 // RunSpec selects the driver for one full polarization-energy computation
 // and carries its cross-cutting options. The zero value is the serial
 // octree baseline; setting exactly one of Pool or Processes selects the
-// shared-memory or distributed driver:
+// shared-memory or distributed driver, and Scheme picks the distributed
+// data/work layout:
 //
 //	Run(RunSpec{})                                     // serial (P = p = 1)
 //	Run(RunSpec{Pool: pool})                           // shared memory (OCT_CILK)
 //	Run(RunSpec{Processes: 12})                        // message passing (OCT_MPI)
 //	Run(RunSpec{Processes: 2, ThreadsPerProcess: 6})   // hybrid (OCT_MPI+CILK)
+//	Run(RunSpec{Processes: 12, Scheme: Dynamic})       // cross-rank dynamic balancing
+//	Run(RunSpec{Processes: 12, Scheme: Segmented})     // distributed data
 //
 // Faults and Obs compose with the distributed layouts (Obs with every
 // layout): there are no per-combination entry points.
@@ -25,6 +64,10 @@ type RunSpec struct {
 	// Processes is the number of message-passing ranks P. Zero selects a
 	// non-distributed driver (serial, or shared-memory when Pool is set).
 	Processes int
+	// Scheme selects the distributed layout; the zero value is Replicated.
+	// Dynamic and Segmented run one thread per rank over the node division,
+	// without checkpoints; Dynamic also runs without faults.
+	Scheme Scheme
 	// ThreadsPerProcess is the per-rank work-stealing pool width p of the
 	// hybrid driver. Zero means one thread. With Pool set it is redundant
 	// and must be either zero or the pool's worker count.
@@ -126,6 +169,9 @@ func (s *System) dispatch(spec RunSpec) (*Result, error) {
 	if spec.ThreadsPerProcess < 0 {
 		return nil, fmt.Errorf("gb: invalid spec: ThreadsPerProcess=%d must be non-negative", spec.ThreadsPerProcess)
 	}
+	if err := s.validateScheme(spec); err != nil {
+		return nil, err
+	}
 	if spec.Processes == 0 && (spec.Checkpoint != nil || spec.Resume != nil) {
 		return nil, fmt.Errorf("gb: invalid spec: checkpointing needs the distributed driver (set Processes >= 1)")
 	}
@@ -167,4 +213,33 @@ func (s *System) dispatch(spec RunSpec) (*Result, error) {
 		p = 1
 	}
 	return s.runDistributed(spec.Processes, p, spec)
+}
+
+// validateScheme rejects the option combinations the Dynamic and Segmented
+// layouts do not implement, instead of silently running something else.
+func (s *System) validateScheme(spec RunSpec) error {
+	sc := spec.Scheme
+	minP := 1
+	if sc == Dynamic {
+		minP = 2 // one coordinator plus at least one compute rank
+	}
+	switch {
+	case sc == Replicated:
+		return nil
+	case sc != Dynamic && sc != Segmented:
+		return fmt.Errorf("gb: invalid spec: unknown %v", sc)
+	case spec.Pool != nil:
+		return fmt.Errorf("gb: invalid spec: the %v scheme is distributed and cannot run on a Pool", sc)
+	case spec.Processes < minP:
+		return fmt.Errorf("gb: invalid spec: the %v scheme needs Processes >= %d, got %d", sc, minP, spec.Processes)
+	case spec.ThreadsPerProcess > 1:
+		return fmt.Errorf("gb: invalid spec: the %v scheme runs one thread per rank, got ThreadsPerProcess=%d", sc, spec.ThreadsPerProcess)
+	case spec.Checkpoint != nil || spec.Resume != nil:
+		return fmt.Errorf("gb: invalid spec: the %v scheme does not checkpoint or resume", sc)
+	case s.Params.Division != NodeNode:
+		return fmt.Errorf("gb: invalid spec: the %v scheme needs the %v division, got %v", sc, NodeNode, s.Params.Division)
+	case sc == Dynamic && spec.Faults.active():
+		return fmt.Errorf("gb: invalid spec: the %v scheme does not run under fault injection", sc)
+	}
+	return nil
 }

@@ -32,18 +32,26 @@ func WriteXYZRQ(w io.Writer, m *Molecule) error {
 func ReadXYZRQ(r io.Reader) (*Molecule, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	// Parse failures are the input's fault: typed, like Validate's.
+	var name string
+	bad := func(atom int, field, format string, args ...any) error {
+		return &InputError{Molecule: name, Atom: atom, Field: field, Msg: "xyzrq " + fmt.Sprintf(format, args...)}
+	}
 	if !sc.Scan() {
-		return nil, fmt.Errorf("molecule: empty XYZRQ input")
+		if err := sc.Err(); err != nil {
+			return nil, err
+		}
+		return nil, bad(-1, "atoms", "input is empty")
 	}
 	header := strings.Fields(sc.Text())
 	if len(header) < 1 {
-		return nil, fmt.Errorf("molecule: malformed XYZRQ header")
+		return nil, bad(-1, "atoms", "header has no atom count")
 	}
 	n, err := strconv.Atoi(header[0])
 	if err != nil || n < 0 {
-		return nil, fmt.Errorf("molecule: bad atom count %q", header[0])
+		return nil, bad(-1, "atoms", "bad atom count %q in header", header[0])
 	}
-	name := "unnamed"
+	name = "unnamed"
 	if len(header) > 1 {
 		name = strings.Join(header[1:], " ")
 	}
@@ -59,13 +67,13 @@ func ReadXYZRQ(r io.Reader) (*Molecule, error) {
 		}
 		f := strings.Fields(text)
 		if len(f) != 5 {
-			return nil, fmt.Errorf("molecule: line %d: want 5 fields, got %d", line, len(f))
+			return nil, bad(len(m.Atoms), "record", "line %d: want 5 fields (x y z radius charge), got %d", line, len(f))
 		}
 		var vals [5]float64
 		for i, s := range f {
 			vals[i], err = strconv.ParseFloat(s, 64)
 			if err != nil {
-				return nil, fmt.Errorf("molecule: line %d field %d: %v", line, i+1, err)
+				return nil, bad(len(m.Atoms), xyzrqFields[i], "line %d field %d: %v", line, i+1, err)
 			}
 		}
 		m.Atoms = append(m.Atoms, Atom{
@@ -78,10 +86,13 @@ func ReadXYZRQ(r io.Reader) (*Molecule, error) {
 		return nil, err
 	}
 	if len(m.Atoms) != n {
-		return nil, fmt.Errorf("molecule: header says %d atoms, file has %d", n, len(m.Atoms))
+		return nil, bad(-1, "atoms", "header says %d atoms, file has %d", n, len(m.Atoms))
 	}
 	return m, m.Validate()
 }
+
+// xyzrqFields names the InputError field of each XYZRQ record column.
+var xyzrqFields = [5]string{"position", "position", "position", "radius", "charge"}
 
 // WritePQR writes the molecule in PQR format (the PDB-like format with
 // charge and radius in the occupancy/B-factor columns, as consumed by

@@ -31,7 +31,7 @@ type InputError struct {
 	// atom-specific (e.g. a duplicate-index pair names the second atom).
 	Atom int
 	// Field names what was invalid: "position", "radius", "charge",
-	// "index", or "atoms".
+	// "index", "atoms", or "record" (a malformed input line).
 	Field string
 	// Msg is the human-readable detail.
 	Msg string

@@ -65,13 +65,31 @@ END
 }
 
 func TestReadXYZRQRejectsNonFiniteTyped(t *testing.T) {
-	in := "2 nanmol\n0 0 0 1.5 0.1\nNaN 0 0 1.5 0.1\n"
-	_, err := ReadXYZRQ(strings.NewReader(in))
-	if !errors.Is(err, ErrInvalidInput) {
-		t.Fatalf("NaN coordinate error %v does not wrap ErrInvalidInput", err)
+	cases := []struct {
+		name, in, field string
+	}{
+		{"nan-coordinate", "2 nanmol\n0 0 0 1.5 0.1\nNaN 0 0 1.5 0.1\n", "position"},
+		{"negative-radius", "1 badrad\n0 0 0 -2 0.1\n", "radius"},
+		{"count-mismatch", "2 short\n0 0 0 1.5 0.1\n", "atoms"},
+		{"bad-header-count", "x name\n", "atoms"},
+		{"negative-header-count", "-1 name\n", "atoms"},
+		{"wrong-field-count", "1 demo\n0 0 0 1\n", "record"},
+		{"unparsable-coordinate", "1 demo\n0 0 z 1 0\n", "position"},
+		{"unparsable-charge", "1 demo\n0 0 0 1 q\n", "charge"},
 	}
-	in = "1 badrad\n0 0 0 -2 0.1\n"
-	if _, err := ReadXYZRQ(strings.NewReader(in)); !errors.Is(err, ErrInvalidInput) {
-		t.Fatalf("negative radius error %v does not wrap ErrInvalidInput", err)
+	for _, c := range cases {
+		_, err := ReadXYZRQ(strings.NewReader(c.in))
+		if !errors.Is(err, ErrInvalidInput) {
+			t.Errorf("%s: error %v does not wrap ErrInvalidInput", c.name, err)
+			continue
+		}
+		var ie *InputError
+		if !errors.As(err, &ie) {
+			t.Errorf("%s: error %T is not *InputError", c.name, err)
+			continue
+		}
+		if ie.Field != c.field {
+			t.Errorf("%s: field %q, want %q (%v)", c.name, ie.Field, c.field, err)
+		}
 	}
 }
