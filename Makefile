@@ -114,7 +114,8 @@ perfbench-check:
 # seeded from its committed corpus (testdata/fuzz/<target>/), one target
 # per invocation as `go test -fuzz` requires. Offline: the corpora are
 # in the tree. A failing input lands in that corpus directory.
-FUZZ_TARGETS = FuzzReadXYZRQ:./internal/molecule/ FuzzDecodeCheckpoint:./internal/gb/
+FUZZ_TARGETS = FuzzReadXYZRQ:./internal/molecule/ FuzzReadPQR:./internal/molecule/ \
+	FuzzDecodeCheckpoint:./internal/gb/ FuzzEpolVsNaive:./internal/gb/
 
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \

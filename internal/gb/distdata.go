@@ -216,32 +216,19 @@ func (s *System) distSegRadii(P, segRank int, ops *int64) (*atomSeg, []float64, 
 // cross pair is counted exactly once. Aggregates of every segment span
 // the shared radius range [rmin, rmax].
 func (s *System) segEnergy(v *aBundle, P int, rmin, rmax float64, next func(k int) (*aBundle, error), ops *int64) (float64, error) {
-	kernel := pairEnergyKernel(s.Params.Math)
-	factor := s.epolFactor()
-	vt := v.view.TA
+	leaves := v.view.TA.Leaves()
 	vAgg := v.view.buildEpolAggregatesRange(v.radii, rmin, rmax)
-	partial := 0.0
-	for _, leaf := range vt.Leaves() {
-		vs, vops := v.view.approxEpol(vt.Root(), leaf, v.radii, vAgg, kernel, factor, nil)
-		partial += vs
-		*ops += vops
-	}
+	partial, vops := s.epolPass(vAgg, vAgg, nil).leaves(leaves)
+	*ops += vops
 	for k := 1; k < P; k++ {
 		u, err := next(k)
 		if err != nil {
 			return 0, err
 		}
-		//lint:ignore hotalloc one pass descriptor per remote segment, amortized over a full tree sweep
-		ep := &epolCrossPass{
-			u: u.view, uAgg: u.view.buildEpolAggregatesRange(u.radii, rmin, rmax), uRadii: u.radii,
-			v: v.view, vAgg: vAgg, vRadii: v.radii,
-			kernel: kernel, factor: factor,
-		}
-		for _, leaf := range vt.Leaves() {
-			vs, vops := ep.run(u.view.TA.Root(), leaf)
-			partial += vs
-			*ops += vops
-		}
+		uAgg := u.view.buildEpolAggregatesRange(u.radii, rmin, rmax)
+		us, uops := s.epolPass(uAgg, vAgg, nil).leaves(leaves)
+		partial += us
+		*ops += uops
 	}
 	return partial, nil
 }

@@ -122,16 +122,8 @@ func (s *System) runSerial(rec *obs.Recorder) *Result {
 	sp.End()
 
 	sp = rec.StartSpan(0, spanEpol)
-	kernel := pairEnergyKernel(s.Params.Math)
-	factor := s.epolFactor()
 	var tally pairTally
-	sum := 0.0
-	epolOps := int64(0)
-	for _, v := range s.aLeaves {
-		vs, vops := s.approxEpol(s.TA.Root(), v, radii, agg, kernel, factor, &tally)
-		sum += vs
-		epolOps += vops
-	}
+	sum, epolOps := s.epolPass(agg, agg, &tally).leaves(s.aLeaves)
 	sp.End()
 
 	countPairSplit(rec, acc.near, acc.far, tally.near, tally.far)
@@ -208,19 +200,11 @@ func (s *System) runCilk(pool *sched.Pool, rec *obs.Recorder) *Result {
 	agg := s.buildEpolAggregates(radii)
 	sp.End()
 	sp = rec.StartSpan(0, spanEpol)
-	kernel := pairEnergyKernel(s.Params.Math)
-	factor := s.epolFactor()
 	grain = len(s.aLeaves)/(8*p) + 1
 	totalP := sched.ParallelReduce(pool, len(s.aLeaves), grain,
 		newEpolPart,
 		func(w *sched.Worker, lo, hi int, part *epolPart) {
-			sum := 0.0
-			ops := int64(0)
-			for _, v := range s.aLeaves[lo:hi] {
-				vs, vops := s.approxEpol(s.TA.Root(), v, radii, agg, kernel, factor, &part.tally)
-				sum += vs
-				ops += vops
-			}
+			sum, ops := s.epolPass(agg, agg, &part.tally).leaves(s.aLeaves[lo:hi])
 			part.sum += sum
 			perWorkerOps[w.ID()] += ops
 		},
@@ -679,7 +663,10 @@ func (r *rankRun) heal(span string, step func() error, deadShare func(d int) []i
 				//lint:ignore hotalloc cold degrade path; the dead share's atom count is unknown until the walk completes
 				deadAtoms = append(deadAtoms, deadShare(d)...)
 			}
-			r.bound = r.s.degradedBound(deadAtoms)
+			// A Replicated NodeNode share is a leaf range of the symmetric
+			// whole-tree walk (degradedBound doubles its cross term).
+			mirrored := r.scheme != Segmented && r.s.Params.Division == NodeNode
+			r.bound = r.s.degradedBound(deadAtoms, mirrored)
 			r.degraded = true
 			sp.End()
 			break
@@ -812,8 +799,6 @@ func (r *rankRun) radii(acc *bornAccum, radii []float64) error {
 // across ranks. It returns the raw pair sum (before the −½τC factor).
 func (r *rankRun) energy(radii []float64, agg *epolAggregates) (float64, error) {
 	s := r.s
-	kernel := pairEnergyKernel(s.Params.Math)
-	factor := s.epolFactor()
 	var sum float64
 	err := r.heal(spanEpol, func() error {
 		var part *epolPart
@@ -822,13 +807,7 @@ func (r *rankRun) energy(radii []float64, agg *epolAggregates) (float64, error) 
 			var err error
 			part, err = reduceLeaves(r, len(s.aLeaves), newEpolPart,
 				func(worker, lo, hi int, part *epolPart) {
-					sum := 0.0
-					ops := int64(0)
-					for _, v := range s.aLeaves[lo:hi] {
-						vs, vops := s.approxEpol(s.TA.Root(), v, radii, agg, kernel, factor, &part.tally)
-						sum += vs
-						ops += vops
-					}
+					sum, ops := s.epolPass(agg, agg, &part.tally).leaves(s.aLeaves[lo:hi])
 					part.sum += sum
 					r.ops[worker] += ops
 				},
@@ -837,6 +816,8 @@ func (r *rankRun) energy(radii []float64, agg *epolAggregates) (float64, error) 
 				return err
 			}
 		case AtomNode:
+			kernel := pairEnergyKernel(s.Params.Math)
+			factor := s.epolFactor()
 			alo, ahi := r.share(s.NumAtoms())
 			part = reduceRange(r.pool, ahi-alo, newEpolPart,
 				func(worker, i0, i1 int, part *epolPart) {

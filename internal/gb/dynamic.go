@@ -25,7 +25,7 @@ import (
 
 // coordinator serves chunks of [0, total) to ranks 1..P−1 and returns
 // when every worker has been told the phase is drained. Guided
-// self-scheduling: each grant is remaining/(2·workers), floored at
+// self-scheduling: each grant is remaining/(4·workers), floored at
 // minChunk. Workers that die mid-phase are counted as drained so the
 // coordinator cannot spin forever waiting for their requests.
 func coordinate(c *simmpi.Comm, total int) error {
@@ -59,7 +59,7 @@ func coordinate(c *simmpi.Comm, total int) error {
 				done++
 				continue
 			}
-			grant := (total - next) / (2 * workers)
+			grant := (total - next) / (4 * workers)
 			if grant < minChunk {
 				grant = minChunk
 			}
@@ -93,6 +93,11 @@ func drainChunks(c *simmpi.Comm, fn func(lo, hi int)) error {
 		if hi <= lo {
 			return nil
 		}
+		// Yield before computing: when ranks outnumber cores, the rank the
+		// coordinator just woke would otherwise keep the core it inherited
+		// and drain most chunks, so per-rank work would follow goroutine
+		// scheduling rather than demand.
+		runtime.Gosched()
 		fn(lo, hi)
 	}
 }

@@ -54,6 +54,19 @@ type epolAggregates struct {
 	// (m_a = p_a − center): the second-order moment of the p=2 far
 	// field. Nil below OrderQuadrupole.
 	quad []geom.Mat3
+	// tree is the atom octree the aggregates describe. q, r and p hold
+	// each atom's charge, Born radius and position in tree item order
+	// (slot i is atom tree.Items[i]), so a node's atoms are the contiguous
+	// slots [Start, End) and the near field reads them without going
+	// through the molecule.
+	tree *octree.Tree
+	q, r []float64
+	p    []geom.Vec3
+	// cls[clsAt[n]:clsAt[n+1]] lists node n's non-empty classes in
+	// ascending order: those with a non-zero moment at the evaluated
+	// order. The far field walks these lists instead of all M classes.
+	cls   []int32
+	clsAt []int32
 }
 
 // maxEpolClasses caps the histogram width: below the corresponding bin
@@ -172,7 +185,45 @@ func (s *System) buildEpolAggregatesRange(radii []float64, rmin, rmax float64) *
 			}
 		}
 	}
+	agg.tree = s.TA
+	agg.q = make([]float64, len(s.TA.Items))
+	agg.r = make([]float64, len(s.TA.Items))
+	agg.p = make([]geom.Vec3, len(s.TA.Items))
+	for i, ai := range s.TA.Items {
+		agg.q[i] = s.Mol.Atoms[ai].Charge
+		agg.r[i] = radii[ai]
+		agg.p[i] = s.atomPos[ai]
+	}
+	agg.clsAt = make([]int32, s.TA.NumNodes()+1)
+	for n := 0; n < s.TA.NumNodes(); n++ {
+		cnt := int32(0)
+		for k := 0; k < agg.M; k++ {
+			if agg.nonEmpty(n*agg.M + k) {
+				cnt++
+			}
+		}
+		agg.clsAt[n+1] = agg.clsAt[n] + cnt
+	}
+	agg.cls = make([]int32, agg.clsAt[s.TA.NumNodes()])
+	for n := 0; n < s.TA.NumNodes(); n++ {
+		at := agg.clsAt[n]
+		for k := 0; k < agg.M; k++ {
+			if agg.nonEmpty(n*agg.M + k) {
+				agg.cls[at] = int32(k)
+				at++
+			}
+		}
+	}
 	return agg
+}
+
+// nonEmpty reports whether histogram slot node·M+k carries a non-zero
+// moment at the evaluated order. An empty slot contributes nothing to any
+// far-field term, so the class lists skip it.
+func (agg *epolAggregates) nonEmpty(slot int) bool {
+	return agg.hist[slot] != 0 ||
+		agg.order >= OrderDipole && agg.dip[slot] != (geom.Vec3{}) ||
+		agg.order == OrderQuadrupole && agg.quad[slot] != (geom.Mat3{})
 }
 
 // epolOpeningScale multiplies Fig. 3's far threshold (1 + 2/ε). With the
@@ -236,20 +287,62 @@ func (t *pairTally) addFar(n int64) {
 	}
 }
 
-// ApproxEpol is Fig. 3's APPROX-Epol(U, V): the raw pair sum
-// Σ q_u q_v / f_GB between the atoms under U and the atoms under leaf V,
-// approximated by class histograms when (U, V) is far, exact at leaves.
-// Returns (sum, interaction evaluations).
-func (s *System) ApproxEpol(u, v int32, radii []float64, agg *epolAggregates) (float64, int64) {
-	kernel := pairEnergyKernel(s.Params.Math)
-	factor := s.epolFactor()
-	return s.approxEpol(u, v, radii, agg, kernel, factor, nil)
+// epolPass is Fig. 3's APPROX-Epol(U, V): the raw pair sum
+// Σ q_u q_v / f_GB between the atoms under node U of src's tree and the
+// atoms under leaf V of dst's tree, approximated by class histograms when
+// (U, V) is far, exact at leaves. A same-tree pass (src == dst) evaluates
+// the near field symmetrically; a cross-tree pass (Complex, the Segmented
+// ring) evaluates every block in its one direction. Cross-tree aggregate
+// sets must share their radius range (buildEpolAggregatesRange), so both
+// have the same M and product table. A pass is single-goroutine: it owns
+// the far-field scratch.
+type epolPass struct {
+	src, dst *epolAggregates
+	factor   float64
+	approx   bool
+	tally    *pairTally
+	// Per-k accumulators of the far-field convolution, k = i+j ∈ [0, 2M):
+	// charge products, dipole cross terms and the p = 2 contractions.
+	c0, c1, a2, b2 []float64
+	// The target node's class moments for the far pair in flight, indexed
+	// by position in its class list: charge, d̂·dipole, d̂ᵀKd̂, tr K, dipole.
+	vq, vd, vA, vT []float64
+	vDip           []geom.Vec3
 }
 
-func (s *System) approxEpol(u, v int32, radii []float64, agg *epolAggregates,
-	kernel func(qq, r2, RiRj float64) float64, factor float64, tally *pairTally) (float64, int64) {
-	un := &s.TA.Nodes[u]
-	vn := &s.TA.Nodes[v]
+// epolPass returns a pass of src's tree against dst's leaves at this
+// system's far criterion and math mode.
+func (s *System) epolPass(src, dst *epolAggregates, tally *pairTally) *epolPass {
+	m := src.M
+	buf := make([]float64, 12*m)
+	return &epolPass{
+		src: src, dst: dst,
+		factor: s.epolFactor(),
+		approx: s.Params.Math == ApproxMath,
+		tally:  tally,
+		c0:     buf[0 : 2*m], c1: buf[2*m : 4*m], a2: buf[4*m : 6*m], b2: buf[6*m : 8*m],
+		vq: buf[8*m : 9*m], vd: buf[9*m : 10*m], vA: buf[10*m : 11*m], vT: buf[11*m : 12*m],
+		vDip: make([]geom.Vec3, m),
+	}
+}
+
+// leaves runs the pass from src's root against each target leaf in
+// order, returning the raw sum and the evaluation count.
+func (ep *epolPass) leaves(vs []int32) (float64, int64) {
+	sum := 0.0
+	ops := int64(0)
+	for _, v := range vs {
+		s, o := ep.run(ep.src.tree.Root(), v)
+		sum += s
+		ops += o
+	}
+	return sum, ops
+}
+
+// run is the recursion of APPROX-Epol(U, V) for target leaf v.
+func (ep *epolPass) run(u, v int32) (float64, int64) {
+	un := &ep.src.tree.Nodes[u]
+	vn := &ep.dst.tree.Nodes[v]
 	d := un.Center.Dist(vn.Center)
 	// The class-histogram approximation only applies when U is internal:
 	// leaf–leaf pairs are evaluated exactly below at comparable cost
@@ -257,37 +350,17 @@ func (s *System) approxEpol(u, v int32, radii []float64, agg *epolAggregates,
 	// matters because two small leaves can be geometrically "far" (tiny
 	// radii) while still close on the f_GB scale √(R_iR_j), where binned
 	// radii misprice the kernel.
-	if u != v && !un.Leaf && epolFar(d, un.Radius, vn.Radius, factor) {
-		return s.farClassSum(u, v, d, vn.Center.Sub(un.Center), agg, tally)
+	if !un.Leaf && epolFar(d, un.Radius, vn.Radius, ep.factor) {
+		return ep.farClassSum(u, v, d, vn.Center.Sub(un.Center))
 	}
 	if un.Leaf {
-		// Exact: ordered pairs (u-atom, v-atom); self terms arise when
-		// U == V via r² = 0 ⇒ f = R_i (q_i²/R_i).
-		sum := 0.0
-		ops := int64(0)
-		uItems := s.TA.ItemsOf(u)
-		vItems := s.TA.ItemsOf(v)
-		for _, ui := range uItems {
-			qi, pi, ri := s.Mol.Atoms[ui].Charge, s.atomPos[ui], radii[ui]
-			for _, vi := range vItems {
-				if ui == vi {
-					sum += qi * qi / ri
-					ops++
-					continue
-				}
-				r2 := pi.Dist2(s.atomPos[vi])
-				sum += kernel(qi*s.Mol.Atoms[vi].Charge, r2, ri*radii[vi])
-				ops++
-			}
-		}
-		tally.addNear(ops)
-		return sum, ops
+		return ep.near(u, v)
 	}
 	sum := 0.0
 	ops := int64(1)
 	for _, c := range un.Children {
 		if c != octree.NoChild {
-			cs, cops := s.approxEpol(c, v, radii, agg, kernel, factor, tally)
+			cs, cops := ep.run(c, v)
 			sum += cs
 			ops += cops
 		}
@@ -295,8 +368,94 @@ func (s *System) approxEpol(u, v int32, radii []float64, agg *epolAggregates,
 	return sum, ops
 }
 
+// near evaluates the leaf block (U, V) exactly: ordered pairs (u-atom,
+// v-atom). In a same-tree pass the block is symmetric in U and V, so when
+// U's own walk also reaches V exactly (mirrored) the pair of blocks is
+// evaluated once, at the higher leaf index with weight 2, and skipped at
+// the lower one. U == V sums i < j doubled plus the self terms q_i²/R_i.
+func (ep *epolPass) near(u, v int32) (float64, int64) {
+	w := 1.0
+	if ep.src == ep.dst {
+		if u == v {
+			sum, ops := ep.selfBlock(&ep.src.tree.Nodes[u])
+			ep.tally.addNear(ops)
+			return sum, ops
+		}
+		if ep.mirrored(u, v) {
+			if u > v {
+				return 0, 0
+			}
+			w = 2
+		}
+	}
+	sum, ops := ep.block(&ep.src.tree.Nodes[u], &ep.dst.tree.Nodes[v])
+	ep.tally.addNear(ops)
+	return w * sum, ops
+}
+
+// mirrored reports whether leaf U's own walk reaches leaf V exactly: no
+// internal ancestor of V is far from U. The test repeats the walk's own
+// far test (same operands, same order), so the walks of U and V agree on
+// it bit for bit and every mirrored block pair is counted exactly once.
+func (ep *epolPass) mirrored(u, v int32) bool {
+	nodes := ep.src.tree.Nodes
+	un := &nodes[u]
+	for a := nodes[v].Parent; a != octree.NoChild; a = nodes[a].Parent {
+		an := &nodes[a]
+		if epolFar(an.Center.Dist(un.Center), an.Radius, un.Radius, ep.factor) {
+			return false
+		}
+	}
+	return true
+}
+
+// block sums q_a q_b / f_GB over the atoms a under un (src) and b under
+// vn (dst), in item order.
+func (ep *epolPass) block(un, vn *octree.Node) (float64, int64) {
+	src := ep.src
+	dq, dr, dp := ep.dst.q[vn.Start:vn.End], ep.dst.r[vn.Start:vn.End], ep.dst.p[vn.Start:vn.End]
+	sum := 0.0
+	for a := un.Start; a < un.End; a++ {
+		sum += ep.row(src.q[a], src.r[a], src.p[a], dq, dr, dp)
+	}
+	return sum, int64(un.Count()) * int64(vn.Count())
+}
+
+// selfBlock sums a leaf against itself: the self terms plus the pairs
+// i < j doubled.
+func (ep *epolPass) selfBlock(n *octree.Node) (float64, int64) {
+	q, r, p := ep.src.q[n.Start:n.End], ep.src.r[n.Start:n.End], ep.src.p[n.Start:n.End]
+	self, pairs := 0.0, 0.0
+	for a := range q {
+		self += q[a] * q[a] / r[a]
+		pairs += ep.row(q[a], r[a], p[a], q[a+1:], r[a+1:], p[a+1:])
+	}
+	c := int64(n.Count())
+	return self + 2*pairs, c + c*(c-1)/2
+}
+
+// row sums q_a q_b / f_GB(r_ab²; R_aR_b) of one atom a against the atoms
+// b of the item-ordered slices, with the kernel inlined for both math
+// modes.
+func (ep *epolPass) row(qa, ra float64, pa geom.Vec3, q, r []float64, p []geom.Vec3) float64 {
+	r, p = r[:len(q)], p[:len(q)]
+	sum := 0.0
+	if ep.approx {
+		for b := range q {
+			r2, rr := pa.Dist2(p[b]), ra*r[b]
+			sum += qa * q[b] * fastInvSqrt(r2+rr*fastExp(-r2/(4*rr)))
+		}
+		return sum
+	}
+	for b := range q {
+		r2, rr := pa.Dist2(p[b]), ra*r[b]
+		sum += qa * q[b] * (1 / math.Sqrt(r2+rr*math.Exp(-r2/(4*rr))))
+	}
+	return sum
+}
+
 // farClassSum evaluates the far-field interaction of node pair (U, V) at
-// center distance d (direction vector dvec = c_V − c_U): for every
+// center distance d (direction vector dvec = c_V − c_U): over every
 // non-empty Born-radius class pair (i, j), the order-p expansion of
 // g(|d·d̂ + δ|) about δ = 0, with δ = m_v − m_u the pair offset and
 // g(r) = 1/f_GB(r; R_iR_j ≈ Rmin²(1+ε)^(i+j+1)):
@@ -307,81 +466,112 @@ func (s *System) approxEpol(u, v int32, radii []float64, agg *epolAggregates,
 //
 // where the second-moment contractions come from the class quadrupoles:
 // ⟨(d̂·δ)²⟩ = Q_U·d̂ᵀK_Vd̂ − 2(d̂·D_U)(d̂·D_V) + d̂ᵀK_Ud̂·Q_V and
-// ⟨|δ|²⟩ = Q_U·tr K_V − 2 D_U·D_V + tr K_U·Q_V. The p=1 branch is the
-// pre-Accuracy arithmetic verbatim. Returns (raw sum, evaluations).
-func (s *System) farClassSum(u, v int32, d float64, dvec geom.Vec3, agg *epolAggregates, tally *pairTally) (float64, int64) {
+// ⟨|δ|²⟩ = Q_U·tr K_V − 2 D_U·D_V + tr K_U·Q_V.
+//
+// g, g′ and g″ depend on the class pair only through k = i + j, so the
+// bracketed moment products are first convolved into per-k accumulators
+// and the kernel (one exp and one sqrt) is evaluated once per non-empty
+// k. Returns (raw sum, kernel evaluations).
+func (ep *epolPass) farClassSum(u, v int32, d float64, dvec geom.Vec3) (float64, int64) {
+	src, dst := ep.src, ep.dst
+	uc := src.cls[src.clsAt[u]:src.clsAt[u+1]]
+	vc := dst.cls[dst.clsAt[v]:dst.clsAt[v+1]]
+	if len(uc) == 0 || len(vc) == 0 {
+		ep.tally.addFar(1)
+		return 0, 1
+	}
+	ord := src.order
 	r2 := d * d
 	dhat := dvec.Scale(1 / d)
-	approx := s.Params.Math == ApproxMath
-	ord := agg.order
+	ubase, vbase := int(u)*src.M, int(v)*dst.M
+	vq, vd, vA, vT, vDip := ep.vq[:len(vc)], ep.vd[:len(vc)], ep.vA[:len(vc)], ep.vT[:len(vc)], ep.vDip[:len(vc)]
+	for jj, j := range vc {
+		slot := vbase + int(j)
+		vq[jj] = dst.hist[slot]
+		if ord >= OrderDipole {
+			vd[jj] = dhat.Dot(dst.dip[slot])
+		}
+		if ord == OrderQuadrupole {
+			kv := &dst.quad[slot]
+			vA[jj] = dhat.Dot(kv.MulVec(dhat))
+			vT[jj] = kv[0] + kv[4] + kv[8]
+			vDip[jj] = dst.dip[slot]
+		}
+	}
+	klo, khi := int(uc[0]+vc[0]), int(uc[len(uc)-1]+vc[len(vc)-1])+1
+	c0, c1, a2, b2 := ep.c0[klo:khi], ep.c1[klo:khi], ep.a2[klo:khi], ep.b2[klo:khi]
+	clear(c0)
+	clear(c1)
+	clear(a2)
+	clear(b2)
+	for _, i := range uc {
+		slot := ubase + int(i)
+		qu := src.hist[slot]
+		off := int(i) - klo
+		switch ord {
+		case OrderMonopole:
+			for jj, j := range vc {
+				c0[off+int(j)] += qu * vq[jj]
+			}
+		case OrderDipole:
+			du := dhat.Dot(src.dip[slot])
+			for jj, j := range vc {
+				k := off + int(j)
+				c0[k] += qu * vq[jj]
+				c1[k] += qu*vd[jj] - du*vq[jj]
+			}
+		default:
+			dipU := src.dip[slot]
+			du := dhat.Dot(dipU)
+			ku := &src.quad[slot]
+			uA := dhat.Dot(ku.MulVec(dhat))
+			uT := ku[0] + ku[4] + ku[8]
+			for jj, j := range vc {
+				k := off + int(j)
+				c0[k] += qu * vq[jj]
+				c1[k] += qu*vd[jj] - du*vq[jj]
+				a2[k] += qu*vA[jj] - 2*du*vd[jj] + uA*vq[jj]
+				b2[k] += qu*vT[jj] - 2*dipU.Dot(vDip[jj]) + uT*vq[jj]
+			}
+		}
+	}
 	sum := 0.0
 	ops := int64(0)
-	ubase, vbase := int(u)*agg.M, int(v)*agg.M
-	for i := 0; i < agg.M; i++ {
-		qu := agg.hist[ubase+i]
-		var du float64
-		var dipU geom.Vec3
-		if ord >= OrderDipole {
-			dipU = agg.dip[ubase+i]
-			du = dhat.Dot(dipU)
+	for k := range c0 {
+		if c0[k] == 0 && c1[k] == 0 && a2[k] == 0 && b2[k] == 0 {
+			continue // no class pair lands on this k
 		}
-		if qu == 0 && du == 0 &&
-			(ord != OrderQuadrupole || agg.quad[ubase+i] == (geom.Mat3{})) {
+		ops++
+		t := src.powR[klo+k]
+		var e, invF float64
+		if ep.approx {
+			e = fastExp(-r2 / (4 * t))
+			invF = fastInvSqrt(r2 + t*e)
+		} else {
+			e = math.Exp(-r2 / (4 * t))
+			invF = 1 / math.Sqrt(r2+t*e)
+		}
+		if ord == OrderMonopole {
+			sum += c0[k] * invF
 			continue
 		}
-		for j := 0; j < agg.M; j++ {
-			qv := agg.hist[vbase+j]
-			var dv float64
-			var dipV geom.Vec3
-			if ord >= OrderDipole {
-				dipV = agg.dip[vbase+j]
-				dv = dhat.Dot(dipV)
-			}
-			if qv == 0 && dv == 0 &&
-				(ord != OrderQuadrupole || agg.quad[vbase+j] == (geom.Mat3{})) {
-				continue
-			}
-			t := agg.powR[i+j]
-			var e float64
-			if approx {
-				e = fastExp(-r2 / (4 * t))
-			} else {
-				e = math.Exp(-r2 / (4 * t))
-			}
-			f2 := r2 + t*e
-			var invF float64
-			if approx {
-				invF = fastInvSqrt(f2)
-			} else {
-				invF = 1 / math.Sqrt(f2)
-			}
-			if ord == OrderMonopole {
-				sum += qu * qv * invF
-				ops++
-				continue
-			}
-			// g'(d) = −d·(1 − e/4)/f³.
-			gp := -d * (1 - e/4) * invF * invF * invF
-			sum += qu*qv*invF + gp*(qu*dv-du*qv)
-			if ord == OrderQuadrupole {
-				// g″(d) = ¾u'²/f⁵ − ½u″/f³ with u = f², u' = 2d(1−e/4),
-				// u″ = 2(1−e/4) + (r²/4t)e.
-				up := 2 * d * (1 - e/4)
-				upp := 2*(1-e/4) + (r2/(4*t))*e
-				invF3 := invF * invF * invF
-				gpp := 0.75*up*up*invF3*invF*invF - 0.5*upp*invF3
-				ku, kv := &agg.quad[ubase+i], &agg.quad[vbase+j]
-				a2 := qu*dhat.Dot(kv.MulVec(dhat)) - 2*du*dv + dhat.Dot(ku.MulVec(dhat))*qv
-				b2 := qu*(kv[0]+kv[4]+kv[8]) - 2*dipU.Dot(dipV) + (ku[0]+ku[4]+ku[8])*qv
-				sum += 0.5*gpp*a2 + (0.5*gp/d)*(b2-a2)
-			}
-			ops++
+		// g'(d) = −d·(1 − e/4)/f³.
+		gp := -d * (1 - e/4) * invF * invF * invF
+		sum += c0[k]*invF + gp*c1[k]
+		if ord == OrderQuadrupole {
+			// g″(d) = ¾u'²/f⁵ − ½u″/f³ with u = f², u' = 2d(1−e/4),
+			// u″ = 2(1−e/4) + (r²/4t)e.
+			up := 2 * d * (1 - e/4)
+			upp := 2*(1-e/4) + (r2/(4*t))*e
+			invF3 := invF * invF * invF
+			gpp := 0.75*up*up*invF3*invF*invF - 0.5*upp*invF3
+			sum += 0.5*gpp*a2[k] + (0.5*gp/d)*(b2[k]-a2[k])
 		}
 	}
 	if ops == 0 {
 		ops = 1
 	}
-	tally.addFar(ops)
+	ep.tally.addFar(ops)
 	return sum, ops
 }
 
@@ -390,12 +580,6 @@ func (s *System) farClassSum(u, v int32, d float64, dvec geom.Vec3, agg *epolAgg
 // by −τκ/2. Returns the energy in kcal/mol and the interaction count.
 func (s *System) Epol(radii []float64) (float64, int64) {
 	agg := s.buildEpolAggregates(radii)
-	sum := 0.0
-	ops := int64(0)
-	for _, v := range s.aLeaves {
-		vs, vops := s.ApproxEpol(s.TA.Root(), v, radii, agg)
-		sum += vs
-		ops += vops
-	}
+	sum, ops := s.epolPass(agg, agg, nil).leaves(s.aLeaves)
 	return -0.5 * Tau(s.Params.EpsSolvent) * CoulombKcal * sum, ops
 }

@@ -247,3 +247,261 @@ func TestTau(t *testing.T) {
 		t.Error("vacuum should give zero polarization prefactor")
 	}
 }
+
+// refFarClassSum is the per-class-pair far field, the differential
+// reference for the k-convolved farClassSum: one kernel evaluation per
+// non-empty class pair (i, j) of source node u (src) and target node v
+// (dst). Both aggregate sets share their radius range, so src's product
+// table applies. It also returns the sum's absolute mass Σ|term|, the
+// scale rounding differences are measured against: a node pair of a
+// near-neutral molecule can cancel to far below its terms.
+func refFarClassSum(src, dst *epolAggregates, u, v int32, d float64, dvec geom.Vec3, approx bool) (sum, mass float64) {
+	r2 := d * d
+	dhat := dvec.Scale(1 / d)
+	ubase, vbase := int(u)*src.M, int(v)*dst.M
+	ord := src.order
+	for i := 0; i < src.M; i++ {
+		qu := src.hist[ubase+i]
+		var du float64
+		var dipU geom.Vec3
+		if ord >= OrderDipole {
+			dipU = src.dip[ubase+i]
+			du = dhat.Dot(dipU)
+		}
+		if qu == 0 && du == 0 &&
+			(ord != OrderQuadrupole || src.quad[ubase+i] == (geom.Mat3{})) {
+			continue
+		}
+		for j := 0; j < dst.M; j++ {
+			qv := dst.hist[vbase+j]
+			var dv float64
+			var dipV geom.Vec3
+			if ord >= OrderDipole {
+				dipV = dst.dip[vbase+j]
+				dv = dhat.Dot(dipV)
+			}
+			if qv == 0 && dv == 0 &&
+				(ord != OrderQuadrupole || dst.quad[vbase+j] == (geom.Mat3{})) {
+				continue
+			}
+			t := src.powR[i+j]
+			var e, invF float64
+			if approx {
+				e = fastExp(-r2 / (4 * t))
+				invF = fastInvSqrt(r2 + t*e)
+			} else {
+				e = math.Exp(-r2 / (4 * t))
+				invF = 1 / math.Sqrt(r2+t*e)
+			}
+			mass += math.Abs(qu * qv * invF)
+			if ord == OrderMonopole {
+				sum += qu * qv * invF
+				continue
+			}
+			gp := -d * (1 - e/4) * invF * invF * invF
+			sum += qu*qv*invF + gp*(qu*dv-du*qv)
+			mass += math.Abs(gp * (qu*dv - du*qv))
+			if ord == OrderQuadrupole {
+				up := 2 * d * (1 - e/4)
+				upp := 2*(1-e/4) + (r2/(4*t))*e
+				invF3 := invF * invF * invF
+				gpp := 0.75*up*up*invF3*invF*invF - 0.5*upp*invF3
+				ku, kv := &src.quad[ubase+i], &dst.quad[vbase+j]
+				a2 := qu*dhat.Dot(kv.MulVec(dhat)) - 2*du*dv + dhat.Dot(ku.MulVec(dhat))*qv
+				b2 := qu*(kv[0]+kv[4]+kv[8]) - 2*dipU.Dot(dipV) + (ku[0]+ku[4]+ku[8])*qv
+				sum += 0.5*gpp*a2 + (0.5*gp/d)*(b2-a2)
+				mass += math.Abs(0.5*gpp*a2) + math.Abs((0.5*gp/d)*(b2-a2))
+			}
+		}
+	}
+	return sum, mass
+}
+
+// refEpolSum is the one-sided ordered-pair walk, the differential
+// reference for the symmetric near field: every leaf V walks src's tree
+// from the root, far pairs through refFarClassSum and every leaf block
+// (U, V) one-sided, self terms where U == V. Returns the raw sum.
+func refEpolSum(ep *epolPass) float64 {
+	src, dst := ep.src, ep.dst
+	var walk func(u, v int32) float64
+	walk = func(u, v int32) float64 {
+		un := &src.tree.Nodes[u]
+		vn := &dst.tree.Nodes[v]
+		d := un.Center.Dist(vn.Center)
+		if !un.Leaf && epolFar(d, un.Radius, vn.Radius, ep.factor) {
+			sum, _ := refFarClassSum(src, dst, u, v, d, vn.Center.Sub(un.Center), ep.approx)
+			return sum
+		}
+		if !un.Leaf {
+			sum := 0.0
+			for _, c := range un.Children {
+				if c != -1 {
+					sum += walk(c, v)
+				}
+			}
+			return sum
+		}
+		kernel := pairEnergyKernel(ExactMath)
+		if ep.approx {
+			kernel = pairEnergyKernel(ApproxMath)
+		}
+		sum := 0.0
+		for a := un.Start; a < un.End; a++ {
+			for b := vn.Start; b < vn.End; b++ {
+				if src == dst && a == b {
+					sum += src.q[a] * src.q[a] / src.r[a]
+					continue
+				}
+				sum += kernel(src.q[a]*dst.q[b], src.p[a].Dist2(dst.p[b]), src.r[a]*dst.r[b])
+			}
+		}
+		return sum
+	}
+	sum := 0.0
+	for _, v := range dst.tree.Leaves() {
+		sum += walk(src.tree.Root(), v)
+	}
+	return sum
+}
+
+// farPairs lists every far node pair (U, V) the walks of dst's leaves
+// meet in src's tree.
+func farPairs(ep *epolPass) [][2]int32 {
+	var out [][2]int32
+	var walk func(u, v int32)
+	walk = func(u, v int32) {
+		un := &ep.src.tree.Nodes[u]
+		vn := &ep.dst.tree.Nodes[v]
+		if un.Leaf {
+			return
+		}
+		if epolFar(un.Center.Dist(vn.Center), un.Radius, vn.Radius, ep.factor) {
+			out = append(out, [2]int32{u, v})
+			return
+		}
+		for _, c := range un.Children {
+			if c != -1 {
+				walk(c, v)
+			}
+		}
+	}
+	for _, v := range ep.dst.tree.Leaves() {
+		walk(ep.src.tree.Root(), v)
+	}
+	return out
+}
+
+// rosterSystem builds roster molecule i (optionally rigidly moved) at the
+// given order, math mode and energy opening scale, with its octree Born
+// radii.
+func rosterSystem(t *testing.T, i, order int, mode MathMode, tr geom.Transform, scale float64) (*System, []float64) {
+	t.Helper()
+	m := molecule.ZDockMolecule(molecule.ZDockRoster()[i]).ApplyTransform(tr)
+	p := DefaultParams()
+	p.Accuracy.Order = order
+	p.Math = mode
+	p.OpeningScale = scale
+	s := newTestSystem(t, m, surface.DefaultConfig(), p)
+	radii, _ := s.BornRadii()
+	return s, radii
+}
+
+// TestFarClassSumMatchesPairwise checks the k-convolved far field against
+// the per-class-pair reference on every far node pair of a roster
+// molecule, at every order and math mode, within one tree and across two
+// trees whose aggregates share a radius range (the Complex pass). The
+// opening scale is halved so that a 1k-atom molecule has far pairs at
+// every order (the monopole criterion is the tightest).
+func TestFarClassSumMatchesPairwise(t *testing.T) {
+	const scale = 0.5
+	for _, order := range []int{OrderMonopole, OrderDipole, OrderQuadrupole} {
+		for _, mode := range []MathMode{ExactMath, ApproxMath} {
+			rec, recRadii := rosterSystem(t, 10, order, mode, geom.IdentityTransform(), scale)
+			lig, ligRadii := rosterSystem(t, 0, order, mode, geom.Translate(geom.V(90, 0, 0)), scale)
+			rmin, rmax := math.Inf(1), 0.0
+			for _, r := range append(append([]float64(nil), recRadii...), ligRadii...) {
+				rmin, rmax = math.Min(rmin, r), math.Max(rmax, r)
+			}
+			recAgg := rec.buildEpolAggregatesRange(recRadii, rmin, rmax)
+			ligAgg := lig.buildEpolAggregatesRange(ligRadii, rmin, rmax)
+			for _, pc := range []struct {
+				name string
+				ep   *epolPass
+			}{
+				{"same-tree", rec.epolPass(recAgg, recAgg, nil)},
+				{"cross-tree", rec.epolPass(recAgg, ligAgg, nil)},
+			} {
+				name, ep := pc.name, pc.ep
+				pairs := farPairs(ep)
+				if len(pairs) == 0 {
+					t.Fatalf("p=%d %v %s: no far pairs", order, mode, name)
+				}
+				worst := 0.0
+				for _, uv := range pairs {
+					u, v := uv[0], uv[1]
+					un, vn := &ep.src.tree.Nodes[u], &ep.dst.tree.Nodes[v]
+					d := un.Center.Dist(vn.Center)
+					dvec := vn.Center.Sub(un.Center)
+					got, _ := ep.farClassSum(u, v, d, dvec)
+					want, mass := refFarClassSum(ep.src, ep.dst, u, v, d, dvec, ep.approx)
+					if mass == 0 {
+						if got != 0 {
+							t.Errorf("p=%d %v %s: pair (%d, %d) is %v, reference has no terms", order, mode, name, u, v, got)
+						}
+						continue
+					}
+					if rel := math.Abs(got-want) / mass; rel > worst {
+						worst = rel
+					}
+				}
+				t.Logf("p=%d %v %s: worst difference %.2g of the term mass over %d far pairs", order, mode, name, worst, len(pairs))
+				if worst > 1e-12 {
+					t.Errorf("p=%d %v %s: worst far-pair difference %.3g of the term mass over %d pairs",
+						order, mode, name, worst, len(pairs))
+				}
+			}
+		}
+	}
+}
+
+// TestSymmetricNearFieldMatchesOrderedPairs checks the whole symmetric
+// pass against the ordered-pair walk it replaced, on a single leaf, two
+// atoms in separate leaves, coincident atoms, and a roster molecule.
+func TestSymmetricNearFieldMatchesOrderedPairs(t *testing.T) {
+	atom := func(x, y, z, q float64) molecule.Atom {
+		return molecule.Atom{Pos: geom.V(x, y, z), Radius: 1.5, Charge: q}
+	}
+	oneLeaf := DefaultParams()
+	fine := DefaultParams()
+	fine.LeafAtoms = 1
+	roster, rosterRadii := rosterSystem(t, 10, OrderDipole, ExactMath, geom.IdentityTransform(), 0)
+	cases := []struct {
+		name  string
+		s     *System
+		radii []float64
+	}{
+		{"single-leaf", newTestSystem(t, &molecule.Molecule{Name: "leaf", Atoms: []molecule.Atom{
+			atom(0, 0, 0, 0.4), atom(2, 0, 0, -0.3), atom(0, 2.5, 0, 0.2), atom(1, 1, 2, -0.5),
+		}}, surface.DefaultConfig(), oneLeaf), nil},
+		{"two-atoms", newTestSystem(t, &molecule.Molecule{Name: "two", Atoms: []molecule.Atom{
+			atom(0, 0, 0, 1), atom(3, 1, 0, -0.7),
+		}}, surface.DefaultConfig(), fine), nil},
+		{"coincident", newTestSystem(t, &molecule.Molecule{Name: "same", Atoms: []molecule.Atom{
+			atom(0, 0, 0, 0.5), atom(0, 0, 0, -0.25), atom(0, 0, 0, 0.75), atom(4, 0, 0, -0.5), atom(4, 3, 0, 0.1),
+		}}, surface.DefaultConfig(), fine), nil},
+		{"roster", roster, rosterRadii},
+	}
+	for _, tc := range cases {
+		radii := tc.radii
+		if radii == nil {
+			radii, _ = tc.s.BornRadii()
+		}
+		agg := tc.s.buildEpolAggregates(radii)
+		ep := tc.s.epolPass(agg, agg, nil)
+		got, _ := ep.leaves(tc.s.aLeaves)
+		want := refEpolSum(ep)
+		if rel := relDiff(got, want); rel > 1e-12 {
+			t.Errorf("%s: symmetric %v vs ordered %v (rel %.3g)", tc.name, got, want, rel)
+		}
+	}
+}

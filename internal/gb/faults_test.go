@@ -6,7 +6,10 @@ import (
 	"time"
 
 	"gbpolar/internal/fault"
+	"gbpolar/internal/geom"
+	"gbpolar/internal/molecule"
 	"gbpolar/internal/obs"
+	"gbpolar/internal/surface"
 )
 
 // Op-count map of runDistributed's fault-tolerant path (P ranks, no
@@ -104,6 +107,48 @@ func TestCrashDegradeHonestBound(t *testing.T) {
 	}
 	if len(r.LostRanks) != 1 || r.LostRanks[0] != 2 {
 		t.Errorf("LostRanks = %v, want [2]", r.LostRanks)
+	}
+}
+
+// TestCrashDegradeSymmetricBound kills the rank owning the highest-index
+// leaves during the energy phase. Under the symmetric near field those
+// leaves carry, doubled, the mirror blocks of their lower-index (live)
+// neighbors, so the missing energy exceeds the one-sided anchored mass.
+// The molecule is built to make that visible: a sparse grid of like
+// charges (no cancellation, Born radii near the intrinsic ones) whose
+// pairs are nearly all near. The bound must still contain the deficit;
+// with degradedBound's cross term left undoubled it would not.
+func TestCrashDegradeSymmetricBound(t *testing.T) {
+	var atoms []molecule.Atom
+	for i := 0; i < 6; i++ {
+		for j := 0; j < 6; j++ {
+			for k := 0; k < 6; k++ {
+				atoms = append(atoms, molecule.Atom{
+					Pos: geom.V(4*float64(i), 4*float64(j), 4*float64(k)), Radius: 1.2, Charge: 0.5,
+				})
+			}
+		}
+	}
+	s := newTestSystem(t, &molecule.Molecule{Name: "grid", Atoms: atoms}, surface.DefaultConfig(), DefaultParams())
+	serial := mustRun(t, s, RunSpec{})
+	const P, dead = 4, 3 // rank P−1 owns the last leaf range
+	plan := &fault.Plan{Events: []fault.Event{{Kind: fault.Crash, Rank: dead, AtOp: 7}}}
+	r, err := s.Run(RunSpec{Processes: P, Faults: &FaultConfig{Plan: plan, Policy: Degrade}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.Degraded || len(r.LostRanks) != 1 || r.LostRanks[0] != dead {
+		t.Fatalf("Degraded=%v LostRanks=%v, want degraded with rank %d lost", r.Degraded, r.LostRanks, dead)
+	}
+	miss := math.Abs(r.Epol - serial.Epol)
+	if miss > r.ErrorBound {
+		t.Errorf("|Epol−serial| = %v exceeds ErrorBound %v", miss, r.ErrorBound)
+	}
+	// The scenario must exercise the doubling: the one-sided bound of the
+	// dead share falls short of the deficit.
+	lo, hi := liveShare(len(s.aLeaves), []int{0, 1, 2, 3}, nil, dead)
+	if oneSided := s.degradedBound(s.shareAtomsNodeNode(lo, hi), false); miss <= oneSided {
+		t.Errorf("deficit %v within the undoubled bound %v: the test no longer covers the mirror blocks", miss, oneSided)
 	}
 }
 

@@ -250,26 +250,36 @@ const boundSlack = 1.25
 
 // degradedBound upper-bounds the |Epol| mass of every ordered pair term
 // anchored at the given atoms (the V-side terms a lost rank's share would
-// have produced): 0.5·τ·C·Σ_{v}[q_v²/ρ_v + Σ_{j≠v}|q_j q_v|/f_GB(r²;
+// have produced): 0.5·τ·C·Σ_{v}[q_v²/ρ_v + w·Σ_{j≠v}|q_j q_v|/f_GB(r²;
 // ρ_jρ_v)], evaluated at intrinsic radii ρ (see the monotonicity argument
-// at the top of this file). O(|atoms|·N) — the price of an honest bound.
-func (s *System) degradedBound(atoms []int32) float64 {
-	sum := 0.0
+// at the top of this file). The cross weight w is 2 when the share was a
+// range of leaves of the symmetric whole-tree walk: a leaf there also
+// carries, doubled, the mirror block (v, u) of a near neighbor u whose own
+// walk skipped it, i.e. terms anchored at atoms outside the share. It is 1
+// for an atom range (AtomNode) or a Segmented segment, whose symmetric
+// blocks never leave the segment. O(|atoms|·N) — the price of an honest
+// bound.
+func (s *System) degradedBound(atoms []int32, mirrored bool) float64 {
+	w := 1.0
+	if mirrored {
+		w = 2
+	}
+	self, cross := 0.0, 0.0
 	for _, v := range atoms {
 		qv := math.Abs(s.Mol.Atoms[v].Charge)
 		pv := s.atomPos[v]
 		rhoV := s.Mol.Atoms[v].Radius
-		sum += qv * qv / rhoV
+		self += qv * qv / rhoV
 		for j := range s.Mol.Atoms {
 			if int32(j) == v {
 				continue
 			}
 			r2 := pv.Dist2(s.atomPos[j])
-			sum += qv * math.Abs(s.Mol.Atoms[j].Charge) *
+			cross += qv * math.Abs(s.Mol.Atoms[j].Charge) *
 				invFGB(r2, rhoV*s.Mol.Atoms[j].Radius)
 		}
 	}
-	return boundSlack * 0.5 * Tau(s.Params.EpsSolvent) * CoulombKcal * sum
+	return boundSlack * 0.5 * Tau(s.Params.EpsSolvent) * CoulombKcal * (self + w*cross)
 }
 
 // shareAtomsNodeNode lists the atoms inside the atom-leaf range

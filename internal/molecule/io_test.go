@@ -92,6 +92,33 @@ func FuzzReadXYZRQ(f *testing.F) {
 	})
 }
 
+// FuzzReadPQR feeds arbitrary bytes to the PQR parser: it must return an
+// error or a molecule that validates and holds one atom per ATOM/HETATM
+// record, never panic or allocate beyond its input.
+func FuzzReadPQR(f *testing.F) {
+	f.Add([]byte("REMARK  gbpolar molecule demo\nATOM      1  C   GLY A   1       0.000   0.000   0.000  0.1000 1.5000\nHETATM    2  O   HOH A   1       1.000   0.000   0.000 -0.1000 1.2000\nEND\n"))
+	f.Add([]byte("ATOM 1 C GLY A 1 0 0 0 0.5\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := ReadPQR(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if verr := m.Validate(); verr != nil {
+			t.Fatalf("accepted an invalid molecule: %v", verr)
+		}
+		records := 0
+		for _, line := range strings.Split(string(data), "\n") {
+			line = strings.TrimSpace(line)
+			if strings.HasPrefix(line, "ATOM") || strings.HasPrefix(line, "HETATM") {
+				records++
+			}
+		}
+		if records != m.NumAtoms() {
+			t.Fatalf("%d ATOM/HETATM records, parsed %d atoms", records, m.NumAtoms())
+		}
+	})
+}
+
 func TestPQRRoundTrip(t *testing.T) {
 	m := Globule("pqrmol", 150, 13)
 	var buf bytes.Buffer

@@ -1017,21 +1017,27 @@ func (c *Comm) Allreduce(data []float64, op Op) ([]float64, error) {
 	first := ranks[0]
 	out := make([]float64, len(w.slots[first]))
 	copy(out, w.slots[first])
+	var redErr error
 	for _, r := range ranks[1:] {
 		if len(w.slots[r]) != len(out) {
 			// Every live rank computes the same verdict from the same
-			// slots and returns here, skipping the close barrier in
-			// lockstep; the error then propagates out of Run via fn.
-			return nil, fmt.Errorf("simmpi: Allreduce length mismatch: rank %d has %d elements, rank %d has %d",
+			// slots. It still takes the close barrier: a rank returning
+			// early would retire, clearing its slot under the world lock
+			// while a slower peer is still reading the slot table here.
+			redErr = fmt.Errorf("simmpi: Allreduce length mismatch: rank %d has %d elements, rank %d has %d",
 				r, len(w.slots[r]), first, len(out))
+			break
 		}
 		op.apply(out, w.slots[r])
 	}
-	if c.rank == first {
+	if c.rank == first && redErr == nil {
 		w.recordCollective(KindAllreduce, int64(len(out))*float64Bytes)
 	}
 	if err := c.barrierNoRecord(); err != nil {
 		return nil, err
+	}
+	if redErr != nil {
+		return nil, redErr
 	}
 	return out, nil
 }
