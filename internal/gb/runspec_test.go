@@ -2,6 +2,7 @@ package gb
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"runtime"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"gbpolar/internal/fault"
+	"gbpolar/internal/geom"
 	"gbpolar/internal/obs"
 	"gbpolar/internal/perf"
 	"gbpolar/internal/sched"
@@ -66,13 +68,7 @@ func TestRunMatchesLegacyWrappers(t *testing.T) {
 			if got := math.Float64bits(res.Epol); got != tc.epol {
 				t.Errorf("Epol bits %#016x (%v), want %#016x", got, res.Epol, tc.epol)
 			}
-			h := fnv.New64a()
-			var buf [8]byte
-			for _, r := range res.Born {
-				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(r))
-				h.Write(buf[:])
-			}
-			if got := h.Sum64(); got != tc.born {
+			if got := bornDigest(res.Born); got != tc.born {
 				t.Errorf("Born digest %#016x, want %#016x", got, tc.born)
 			}
 			if want, ok := work[tc.name]; ok {
@@ -80,6 +76,136 @@ func TestRunMatchesLegacyWrappers(t *testing.T) {
 				if got != want {
 					t.Errorf("TotalOps, P2P messages, P2P bytes = %v, want %v", got, want)
 				}
+			}
+		})
+	}
+}
+
+// bornDigest is the FNV-64a digest of a Born-radii vector's bit patterns.
+func bornDigest(radii []float64) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, r := range radii {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(r))
+		h.Write(buf[:])
+	}
+	return h.Sum64()
+}
+
+// TestBornCallSitesPinned pins every caller of the Born traversal to
+// exact bits: the AtomNode range walk, the monopole and quadrupole far
+// fields (serial, distributed and Segmented), the r⁴ integral form, the
+// approximate-math kernels, the docking Complex at p = 0/1/2, BornRadii
+// and the naive oracles. Like TestRunMatchesLegacyWrappers, a changed
+// value here is a change of the computed numbers, not a refactor.
+func TestBornCallSitesPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("digests recorded on amd64; other architectures may fuse multiply-adds")
+	}
+	pool := sched.New(4)
+	defer pool.Close()
+	sys := func(edit func(*Params)) *System {
+		p := DefaultParams()
+		edit(&p)
+		return buildSys(t, 400, p)
+	}
+	atomNode := sys(func(p *Params) { p.Division = AtomNode })
+	monopole := sys(func(p *Params) { p.Accuracy = Accuracy{EpsBorn: 0.9, Order: OrderMonopole} })
+	quad := sys(func(p *Params) { p.Accuracy.Order = OrderQuadrupole })
+	r4 := sys(func(p *Params) { p.Integral = IntegralR4 })
+	approx := sys(func(p *Params) { p.Math = ApproxMath })
+	runs := []struct {
+		name       string
+		s          *System
+		spec       RunSpec
+		epol, born uint64
+		ops        int64
+	}{
+		{"atomnode-mpi", atomNode, RunSpec{Processes: 3}, 0xc08927f269d820ad, 0x80424632bb86c002, 507678},
+		{"atomnode-hybrid", atomNode, RunSpec{Processes: 2, ThreadsPerProcess: 2}, 0xc08927e7fe15b9ee, 0xcf86b33ba62eeb7b, 501325},
+		{"p0-serial", monopole, RunSpec{}, 0xc0897336b889b63a, 0x042cec832f586fdc, 637468},
+		{"p2-serial", quad, RunSpec{}, 0xc089567de86f9eb5, 0xf1740d23c9618d0a, 341473},
+		{"p2-mpi", quad, RunSpec{Processes: 3}, 0xc089567de86f9ebb, 0xfc30ee4a39703191, 341515},
+		{"p2-segmented", quad, RunSpec{Processes: 3, Scheme: Segmented}, 0xc08976c1b46de4bc, 0xed097fabb16a6852, 435425},
+		{"r4-serial", r4, RunSpec{}, 0xc06c5321d1c48418, 0xb90f36709810725f, 429291},
+		{"r4-cilk", r4, RunSpec{Pool: pool}, 0xc06c5321d1c4840f, 0xf53982003fa819b7, 429895},
+		{"approx-serial", approx, RunSpec{}, 0xc0897ca8ad10768b, 0xdffe86dd874a48c0, 430088},
+	}
+	for _, tc := range runs {
+		t.Run(tc.name, func(t *testing.T) {
+			res := mustRun(t, tc.s, tc.spec)
+			got := [3]uint64{math.Float64bits(res.Epol), bornDigest(res.Born), uint64(res.TotalOps())}
+			if want := [3]uint64{tc.epol, tc.born, uint64(tc.ops)}; got != want {
+				t.Errorf("Epol bits, Born digest, TotalOps = %#016x, %#016x, %d; want %#016x, %#016x, %d",
+					got[0], got[1], got[2], want[0], want[1], want[2])
+			}
+		})
+	}
+
+	// The quadrupole moments built lazily by WithAccuracy match NewSystem's.
+	def := buildSys(t, 400, DefaultParams())
+	t.Run("p2-spec-accuracy", func(t *testing.T) {
+		res := mustRun(t, def, RunSpec{Accuracy: &Accuracy{Order: OrderQuadrupole}})
+		if got := bornDigest(res.Born); got != 0xf1740d23c9618d0a {
+			t.Errorf("Born digest %#016x, want 0xf1740d23c9618d0a", got)
+		}
+	})
+	t.Run("born-radii", func(t *testing.T) {
+		radii, _ := def.BornRadii()
+		if got := bornDigest(radii); got != 0xdffe86dd874a48c0 {
+			t.Errorf("Born digest %#016x, want the serial run's 0xdffe86dd874a48c0", got)
+		}
+	})
+	t.Run("naive", func(t *testing.T) {
+		for _, tc := range []struct {
+			name  string
+			naive func() ([]float64, int64)
+			born  uint64
+		}{
+			{"r6", def.NaiveBornRadiiR6, 0x4a2c80288e34c787},
+			{"r4", def.NaiveBornRadiiR4, 0xe479bd192d140c86},
+		} {
+			radii, ops := tc.naive()
+			if got := bornDigest(radii); got != tc.born || ops != 630400 {
+				t.Errorf("%s: Born digest %#016x, ops %d; want %#016x, 630400", tc.name, got, ops, tc.born)
+			}
+		}
+	})
+
+	rec, lig, _ := complexFixture(t, 400, 60)
+	pose := geom.Transform{R: geom.RotationAxis(geom.V(1, 2, 3), 0.7), T: geom.V(9, -4, 3)}
+	for _, tc := range []struct {
+		order                  int
+		epol, recBorn, ligBorn uint64
+		ops                    int64
+	}{
+		{OrderMonopole, 0xc097275c90212783, 0x70298268517e2167, 0x07dd23d729b7036c, 384899},
+		{OrderDipole, 0xc097224cfb885bdc, 0xedf4826e48470bc7, 0x749911dd7ba7a933, 252766},
+		{OrderQuadrupole, 0xc09736684a44822b, 0xeabe1e9987445731, 0x799a82355db8ccec, 211159},
+	} {
+		t.Run(fmt.Sprintf("complex-p%d", tc.order), func(t *testing.T) {
+			acc := DefaultAccuracy()
+			acc.Order = tc.order
+			rw, err := rec.WithAccuracy(acc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lw, err := lig.WithAccuracy(acc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cx, err := NewComplex(rw, lw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := cx.Epol(pose)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := [4]uint64{math.Float64bits(res.Epol), bornDigest(res.RecBorn), bornDigest(res.LigBorn), uint64(res.Ops)}
+			if want := [4]uint64{tc.epol, tc.recBorn, tc.ligBorn, uint64(tc.ops)}; got != want {
+				t.Errorf("Epol bits, RecBorn, LigBorn, Ops = %#016x, %#016x, %#016x, %d; want %#016x, %#016x, %#016x, %d",
+					got[0], got[1], got[2], got[3], want[0], want[1], want[2], want[3])
 			}
 		})
 	}
