@@ -115,7 +115,8 @@ perfbench-check:
 # per invocation as `go test -fuzz` requires. Offline: the corpora are
 # in the tree. A failing input lands in that corpus directory.
 FUZZ_TARGETS = FuzzReadXYZRQ:./internal/molecule/ FuzzReadPQR:./internal/molecule/ \
-	FuzzDecodeCheckpoint:./internal/gb/ FuzzEpolVsNaive:./internal/gb/
+	FuzzDecodeCheckpoint:./internal/gb/ FuzzEpolVsNaive:./internal/gb/ \
+	FuzzParsePlan:./internal/fault/ FuzzParsePlan:./internal/fault/fs/
 
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \

@@ -243,7 +243,13 @@ func startDaemon(t *testing.T, bin string, args ...string) *daemon {
 			}
 		}
 	}()
-	go func() { d.done <- cmd.Wait() }()
+	// Wait closes the stderr pipe, so it may only run once the scanner
+	// has read everything: calling it earlier can drop the daemon's last
+	// log lines (see os/exec Cmd.StderrPipe).
+	go func() {
+		<-d.scanDone
+		d.done <- cmd.Wait()
+	}()
 	select {
 	case addr := <-addrCh:
 		d.base = "http://" + addr

@@ -94,6 +94,29 @@ func TestParseRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzParsePlan feeds arbitrary text to the plan grammar: Parse must
+// return an error or a plan whose String form parses back to the same
+// String, never panic.
+func FuzzParsePlan(f *testing.F) {
+	f.Add("crash:1@6,drop:2>0@3+2,delay:0>*@1+3~150µs,slow:3@0+8~200µs")
+	f.Add("corrupt:2@4+3")
+	f.Add("drop:0>-0@+7+1")
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := Parse(s)
+		if err != nil {
+			return
+		}
+		text := p.String()
+		back, err := Parse(text)
+		if err != nil {
+			t.Fatalf("Parse(%q) accepted, but its String %q does not parse: %v", s, text, err)
+		}
+		if got := back.String(); got != text {
+			t.Fatalf("round trip %q -> %q -> %q", s, text, got)
+		}
+	})
+}
+
 func TestParseRejectsMalformed(t *testing.T) {
 	for _, bad := range []string{
 		"boom:1@0", "crash:1", "crash:x@0", "drop:0>-2@0",

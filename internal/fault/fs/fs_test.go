@@ -31,6 +31,28 @@ func TestParseRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzParsePlan feeds arbitrary text to the storage-fault grammar: Parse
+// must return an error or a plan whose String form parses back to the
+// same String, never panic.
+func FuzzParsePlan(f *testing.F) {
+	f.Add("enospc@2+1,torn:40@5+1,syncerr@0+2,slow@0+8~200µs")
+	f.Add("shortw@3,synclie@1+4,corrupt@0")
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := Parse(s)
+		if err != nil {
+			return
+		}
+		text := p.String()
+		back, err := Parse(text)
+		if err != nil {
+			t.Fatalf("Parse(%q) accepted, but its String %q does not parse: %v", s, text, err)
+		}
+		if got := back.String(); got != text {
+			t.Fatalf("round trip %q -> %q -> %q", s, text, got)
+		}
+	})
+}
+
 func TestParseDefaults(t *testing.T) {
 	p, err := Parse("torn@3")
 	if err != nil {

@@ -186,8 +186,11 @@ func (s *System) WithAccuracy(acc Accuracy) (*System, error) {
 	acc = acc.normalized()
 	c := *s
 	c.Params.Accuracy = acc
-	if acc.Order == OrderQuadrupole && c.nodeMoment2 == nil && c.TQ != nil {
-		c.nodeMoment2 = buildQuadMoments(c.TQ, c.Surf.Points, c.nodeNormal, c.nodeMoment)
+	if acc.Order == OrderQuadrupole && c.q != nil && c.q.moments2 == nil {
+		// The copy owns its bundle: s stays immutable for concurrent use.
+		q := *c.q
+		q.moments2 = buildQuadMoments(q.tree, q.pts, q.normals, q.moments)
+		c.q = &q
 	}
 	return &c, nil
 }

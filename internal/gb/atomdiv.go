@@ -12,54 +12,8 @@ import (
 // traverses both octrees but computes only for the atoms in its range.
 // The paper observes it is slightly slower than node-based division and —
 // because division boundaries split tree nodes — its approximation error
-// varies with the process count, unlike the node-based scheme.
-
-// approxIntegralsAtomRange is APPROX-INTEGRALS restricted to atoms whose
-// octree item position lies in [lo, hi): far-field sums may only be
-// collected at T_A nodes fully owned by the range (collecting at a
-// partially-owned node would double-count across ranks), so boundary
-// nodes are descended instead — the source of the P-dependent error.
-func (s *System) approxIntegralsAtomRange(a, q int32, lo, hi int32, acc *bornAccum) int64 {
-	an := &s.TA.Nodes[a]
-	if an.End <= lo || an.Start >= hi {
-		return 1
-	}
-	if an.Start >= lo && an.End <= hi {
-		qn := &s.TQ.Nodes[q]
-		return s.approxIntegrals(a, q, qn, s.nodeNormal[q], s.bornBeta(), s.order(), acc)
-	}
-	// Partially owned: cannot approximate here.
-	if an.Leaf {
-		r4Form := s.Params.Integral == IntegralR4
-		ops := int64(0)
-		for pos := max(an.Start, lo); pos < min(an.End, hi); pos++ {
-			ai := s.TA.Items[pos]
-			pa := s.atomPos[ai]
-			sum := 0.0
-			for _, qi := range s.TQ.ItemsOf(q) {
-				qp := &s.Surf.Points[qi]
-				dv := qp.Pos.Sub(pa)
-				r2 := dv.Norm2()
-				rp := r2 * r2
-				if !r4Form {
-					rp *= r2
-				}
-				sum += qp.Weight * dv.Dot(qp.Normal) / rp
-				ops++
-			}
-			acc.atomS[ai] += sum
-		}
-		acc.near += ops
-		return ops
-	}
-	ops := int64(1)
-	for _, c := range an.Children {
-		if c != octree.NoChild {
-			ops += s.approxIntegralsAtomRange(c, q, lo, hi, acc)
-		}
-	}
-	return ops
-}
+// varies with the process count, unlike the node-based scheme. The Born
+// phase's atom-range walk is bornPass.runRange (born.go).
 
 // approxEpolAtom computes one atom's interaction with the subtree under
 // node u, Barnes-Hut style (the atom is a point, so the far criterion

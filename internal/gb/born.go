@@ -61,37 +61,29 @@ func bornFar(d, ra, rq, beta float64) bool {
 // NaiveBornRadiiR6 evaluates Eq. 4 exactly: for every atom, the full sum
 // over all surface quadrature points. ops receives the number of pair
 // evaluations. O(M·m).
-func (s *System) NaiveBornRadiiR6() (radii []float64, ops int64) {
-	radii = make([]float64, s.NumAtoms())
-	for i, a := range s.Mol.Atoms {
-		sum := 0.0
-		for _, q := range s.Surf.Points {
-			d := q.Pos.Sub(a.Pos)
-			r2 := d.Norm2()
-			r6 := r2 * r2 * r2
-			sum += q.Weight * d.Dot(q.Normal) / r6
-			ops++
-		}
-		radii[i] = bornRadiusFromIntegral(sum, a.Radius)
-	}
-	return radii, ops
-}
+func (s *System) NaiveBornRadiiR6() (radii []float64, ops int64) { return s.naiveBornRadii(false) }
 
 // NaiveBornRadiiR4 evaluates the Coulomb-field approximation (Eq. 3)
 // exactly. Included as the accuracy baseline the paper contrasts the r⁶
 // form against (r⁶ is more accurate for protein-like solutes).
-func (s *System) NaiveBornRadiiR4() (radii []float64, ops int64) {
+func (s *System) NaiveBornRadiiR4() (radii []float64, ops int64) { return s.naiveBornRadii(true) }
+
+// naiveBornRadii is the exact O(M·m) oracle of either integral form.
+func (s *System) naiveBornRadii(r4 bool) (radii []float64, ops int64) {
 	radii = make([]float64, s.NumAtoms())
 	for i, a := range s.Mol.Atoms {
 		sum := 0.0
 		for _, q := range s.Surf.Points {
 			d := q.Pos.Sub(a.Pos)
 			r2 := d.Norm2()
-			r4 := r2 * r2
-			sum += q.Weight * d.Dot(q.Normal) / r4
+			rp := r2 * r2
+			if !r4 {
+				rp *= r2
+			}
+			sum += q.Weight * d.Dot(q.Normal) / rp
 			ops++
 		}
-		radii[i] = bornRadiusFromIntegralR4(sum, a.Radius)
+		radii[i] = bornRadiusFromIntegral(sum, a.Radius, r4)
 	}
 	return radii, ops
 }
@@ -156,18 +148,6 @@ func (b *bornAccum) add(o *bornAccum) {
 	b.far += o.far
 }
 
-// ApproxIntegrals is Fig. 2's APPROX-INTEGRALS(A, Q): it accumulates the
-// contribution of quadrature leaf Q into acc, approximating whenever the
-// (A, Q) ball pair satisfies the ε far-field criterion, descending A
-// otherwise, and computing exact atom×q-point sums at leaves. Returns the
-// number of interaction evaluations (for the performance model).
-func (s *System) ApproxIntegrals(a, q int32, acc *bornAccum) int64 {
-	beta := s.bornBeta()
-	qn := &s.TQ.Nodes[q]
-	qNormal := s.nodeNormal[q]
-	return s.approxIntegrals(a, q, qn, qNormal, beta, s.order(), acc)
-}
-
 // bornFarNode accumulates the order-ord far-field expansion of one
 // (A-node, Q-node) far pair into the A-node accumulator slots. The
 // kernel is K(u; n) = (u·n)/|u|ᵖᵒʷ with u pointing from the evaluation
@@ -178,7 +158,7 @@ func (s *System) ApproxIntegrals(a, q int32, acc *bornAccum) int64 {
 //	ord 0:  Σ w K(diff; n)                          = (diff·ñ)/dᵖᵒʷ
 //	ord 1:  + Q-side (tr T − pow·d̂ᵀT d̂)/dᵖᵒʷ        (Σ w ∇K·m)
 //	        + A-side gradient of the monopole        (−Σ w ∇K, for ξ)
-//	ord 2:  + Q-side ½ Σ w mᵀ(∇²K)m                  (via S = nodeMoment2)
+//	ord 2:  + Q-side ½ Σ w mᵀ(∇²K)m                  (via S = qBundle.moments2)
 //	        + the m×ξ cross term −Σ w (∇²K m)·ξ      (folded into grad)
 //	        + A-side Hessian of the monopole         (½ξᵀHξ, via nodeH)
 //
@@ -236,62 +216,132 @@ func bornFarNode(ord int, diff geom.Vec3, d, rp, pow float64,
 	*nodeG = nodeG.Add(grad)
 }
 
-func (s *System) approxIntegrals(a, q int32, qn *octree.Node, qNormal geom.Vec3, beta float64, ord int, acc *bornAccum) int64 {
-	an := &s.TA.Nodes[a]
-	d := an.Center.Dist(qn.Center)
-	// The integrand power: 6 for the r⁶ form (Eq. 4), 4 for the
-	// Coulomb-field r⁴ form (Eq. 3).
-	pow := 6.0
-	r4Form := s.Params.Integral == IntegralR4
-	if r4Form {
-		pow = 4
+// bornPass is Fig. 2's APPROX-INTEGRALS(A, Q), the one Born traversal
+// every caller runs: an atom tree ta (with its positions) against a
+// quadrature side q. The two may come from different systems — the
+// docking Complex pairs a receptor's atoms with a moved ligand's surface
+// and the Segmented ring pairs a segment's atoms with a remote bundle.
+type bornPass struct {
+	ta      *octree.Tree
+	atomPos []geom.Vec3
+	q       *qBundle
+	beta    float64
+	ord     int
+	// r4 selects the Coulomb-field integrand |u|⁴ (Eq. 3) instead of
+	// the r⁶ form (Eq. 4); pow is the matching power, 4 or 6.
+	r4  bool
+	pow float64
+}
+
+// bornPass pairs the system's atom tree with quadrature side q under the
+// system's far criterion, expansion order and integral form.
+func (s *System) bornPass(q *qBundle) *bornPass {
+	bp := &bornPass{
+		ta: s.TA, atomPos: s.atomPos, q: q,
+		beta: s.bornBeta(), ord: s.order(),
+		r4: s.Params.Integral == IntegralR4, pow: 6,
 	}
-	if bornFar(d, an.Radius, qn.Radius, beta) {
+	if bp.r4 {
+		bp.pow = 4
+	}
+	return bp
+}
+
+// leaves accumulates the contribution of every quadrature leaf in qs,
+// in order, against the whole atom tree. Returns the number of
+// interaction evaluations (for the performance model).
+func (bp *bornPass) leaves(qs []int32, acc *bornAccum) int64 {
+	ops := int64(0)
+	for _, q := range qs {
+		ops += bp.run(bp.ta.Root(), q, &bp.q.tree.Nodes[q], bp.q.normals[q], acc)
+	}
+	return ops
+}
+
+// run accumulates quadrature leaf q (node qn, aggregated normal qNormal,
+// both hoisted out of the recursion) into acc below atom node a,
+// approximating whenever the (A, Q) ball pair satisfies the far-field
+// criterion, descending A otherwise, and summing exactly at atom leaves.
+func (bp *bornPass) run(a, q int32, qn *octree.Node, qNormal geom.Vec3, acc *bornAccum) int64 {
+	an := &bp.ta.Nodes[a]
+	d := an.Center.Dist(qn.Center)
+	if bornFar(d, an.Radius, qn.Radius, bp.beta) {
 		// Far: Q acts as a pseudo-q-point at its centroid, expanded to
 		// the order the accuracy spec asks for (see bornFarNode).
 		diff := qn.Center.Sub(an.Center)
 		r2 := d * d
 		rp := r2 * r2 // p = 4
-		if !r4Form {
+		if !bp.r4 {
 			rp *= r2 // p = 6
 		}
 		var m2 *bornMom2
 		var hslot *geom.Mat3
-		if ord == OrderQuadrupole {
-			m2 = &s.nodeMoment2[q]
+		if bp.ord == OrderQuadrupole {
+			m2 = &bp.q.moments2[q]
 			hslot = &acc.nodeH[a]
 		}
-		bornFarNode(ord, diff, d, rp, pow, qNormal, &s.nodeMoment[q], m2,
+		bornFarNode(bp.ord, diff, d, rp, bp.pow, qNormal, &bp.q.moments[q], m2,
 			&acc.nodeS[a], &acc.nodeG[a], hslot)
 		acc.far++
 		return 1
 	}
 	if an.Leaf {
-		// Exact: every atom under A against every q-point under Q.
-		ops := int64(0)
-		for _, ai := range s.TA.ItemsOf(a) {
-			pa := s.atomPos[ai]
-			sum := 0.0
-			for _, qi := range s.TQ.ItemsOf(q) {
-				qp := &s.Surf.Points[qi]
-				dv := qp.Pos.Sub(pa)
-				r2 := dv.Norm2()
-				rp := r2 * r2
-				if !r4Form {
-					rp *= r2
-				}
-				sum += qp.Weight * dv.Dot(qp.Normal) / rp
-			}
-			acc.atomS[ai] += sum
-			ops += int64(len(s.TQ.ItemsOf(q)))
-		}
-		acc.near += ops
-		return ops
+		return bp.near(bp.ta.ItemsOf(a), q, acc)
 	}
 	ops := int64(1)
 	for _, c := range an.Children {
 		if c != octree.NoChild {
-			ops += s.approxIntegrals(c, q, qn, qNormal, beta, ord, acc)
+			ops += bp.run(c, q, qn, qNormal, acc)
+		}
+	}
+	return ops
+}
+
+// near is the exact leaf body: every atom in atoms against every q-point
+// under quadrature leaf q.
+func (bp *bornPass) near(atoms []int32, q int32, acc *bornAccum) int64 {
+	qItems := bp.q.tree.ItemsOf(q)
+	for _, ai := range atoms {
+		pa := bp.atomPos[ai]
+		sum := 0.0
+		for _, qi := range qItems {
+			qp := &bp.q.pts[qi]
+			dv := qp.Pos.Sub(pa)
+			r2 := dv.Norm2()
+			rp := r2 * r2
+			if !bp.r4 {
+				rp *= r2
+			}
+			sum += qp.Weight * dv.Dot(qp.Normal) / rp
+		}
+		acc.atomS[ai] += sum
+	}
+	ops := int64(len(atoms) * len(qItems))
+	acc.near += ops
+	return ops
+}
+
+// runRange is run restricted to atoms whose octree item position lies in
+// [lo, hi) — the ATOM-BASED-WORK-DIVISION of §IV. Far-field sums may
+// only be collected at atom nodes the range fully owns (collecting at a
+// partially owned node would double-count across ranks), so boundary
+// nodes are descended instead — the source of the paper's P-dependent
+// error — and a partially owned leaf sums its owned atoms exactly.
+func (bp *bornPass) runRange(a, q int32, lo, hi int32, acc *bornAccum) int64 {
+	an := &bp.ta.Nodes[a]
+	if an.End <= lo || an.Start >= hi {
+		return 1
+	}
+	if an.Start >= lo && an.End <= hi {
+		return bp.run(a, q, &bp.q.tree.Nodes[q], bp.q.normals[q], acc)
+	}
+	if an.Leaf {
+		return bp.near(bp.ta.Items[max(an.Start, lo):min(an.End, hi)], q, acc)
+	}
+	ops := int64(1)
+	for _, c := range an.Children {
+		if c != octree.NoChild {
+			ops += bp.runRange(c, q, lo, hi, acc)
 		}
 	}
 	return ops
@@ -336,11 +386,7 @@ func (s *System) pushIntegrals(a int32, carryS float64, carryG geom.Vec3, carryH
 			if acc.nodeH != nil {
 				v += 0.5 * xi.Dot(carryH.MulVec(xi))
 			}
-			if r4Form {
-				radii[ai] = bornRadiusFromIntegralR4(v, s.Mol.Atoms[ai].Radius)
-			} else {
-				radii[ai] = bornRadiusFromIntegral(v, s.Mol.Atoms[ai].Radius)
-			}
+			radii[ai] = bornRadiusFromIntegral(v, s.Mol.Atoms[ai].Radius, r4Form)
 		}
 		return 1
 	}
@@ -415,10 +461,7 @@ func (b *bornAccum) decode(flat []float64) {
 // returns the Born radii and the interaction-evaluation count.
 func (s *System) BornRadii() ([]float64, int64) {
 	acc := s.newBornAccum()
-	ops := int64(0)
-	for _, q := range s.qLeaves {
-		ops += s.ApproxIntegrals(s.TA.Root(), q, acc)
-	}
+	ops := s.bornPass(s.q).leaves(s.qLeaves, acc)
 	radii := make([]float64, s.NumAtoms())
 	ops += s.PushIntegralsToAtoms(acc, 0, s.NumAtoms(), radii)
 	return radii, ops

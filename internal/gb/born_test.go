@@ -136,9 +136,7 @@ func TestPushIntegralsSegmentsEquivalent(t *testing.T) {
 	m := molecule.Globule("g", 300, 33)
 	s := newTestSystem(t, m, surface.DefaultConfig(), DefaultParams())
 	acc := s.newBornAccum()
-	for _, q := range s.qLeaves {
-		s.ApproxIntegrals(s.TA.Root(), q, acc)
-	}
+	s.bornPass(s.q).leaves(s.qLeaves, acc)
 	full := make([]float64, s.NumAtoms())
 	s.PushIntegralsToAtoms(acc, 0, s.NumAtoms(), full)
 
@@ -158,18 +156,18 @@ func TestPushIntegralsSegmentsEquivalent(t *testing.T) {
 
 func TestBornRadiusClamps(t *testing.T) {
 	// Non-positive integral → bulk cap.
-	if got := bornRadiusFromIntegral(-1, 1.5); got != maxBornRadius {
+	if got := bornRadiusFromIntegral(-1, 1.5, false); got != maxBornRadius {
 		t.Errorf("negative integral: %v", got)
 	}
-	if got := bornRadiusFromIntegral(0, 1.5); got != maxBornRadius {
+	if got := bornRadiusFromIntegral(0, 1.5, false); got != maxBornRadius {
 		t.Errorf("zero integral: %v", got)
 	}
 	// Intrinsic floor.
 	huge := 4 * math.Pi / 1e-3 // R ≈ 0.1 < intrinsic... actually large s → small R
-	if got := bornRadiusFromIntegral(huge*1e6, 1.5); got != 1.5 {
+	if got := bornRadiusFromIntegral(huge*1e6, 1.5, false); got != 1.5 {
 		t.Errorf("intrinsic floor: %v", got)
 	}
-	if got := bornRadiusFromIntegralR4(-1, 1); got != maxBornRadius {
+	if got := bornRadiusFromIntegral(-1, 1, true); got != maxBornRadius {
 		t.Errorf("r4 negative integral: %v", got)
 	}
 }

@@ -5,8 +5,6 @@ import (
 	"math"
 
 	"gbpolar/internal/geom"
-	"gbpolar/internal/octree"
-	"gbpolar/internal/surface"
 )
 
 // Complex implements the paper's §IV-C docking reuse: "for drug-design
@@ -37,15 +35,9 @@ func NewComplex(rec, lig *System) (*Complex, error) {
 	if rec.Params != lig.Params {
 		return nil, fmt.Errorf("gb: receptor and ligand params differ")
 	}
-	c := &Complex{rec: rec, lig: lig}
-	c.recSelf = rec.newBornAccum()
-	for _, q := range rec.qLeaves {
-		rec.ApproxIntegrals(rec.TA.Root(), q, c.recSelf)
-	}
-	c.ligSelf = lig.newBornAccum()
-	for _, q := range lig.qLeaves {
-		lig.ApproxIntegrals(lig.TA.Root(), q, c.ligSelf)
-	}
+	c := &Complex{rec: rec, lig: lig, recSelf: rec.newBornAccum(), ligSelf: lig.newBornAccum()}
+	rec.bornPass(rec.q).leaves(rec.qLeaves, c.recSelf)
+	lig.bornPass(lig.q).leaves(lig.qLeaves, c.ligSelf)
 	return c, nil
 }
 
@@ -73,52 +65,17 @@ func (c *Complex) Epol(tr geom.Transform) (*PoseResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	ligSurf := lig.Surf.ApplyTransform(tr)
-	ligQPos := ligSurf.Positions()
-	ligTQ, err := lig.TQ.Transformed(tr, ligQPos)
+	ligQ, err := lig.q.transformed(tr)
 	if err != nil {
 		return nil, err
 	}
-	// The ligand's aggregated normals/moments rotate with the pose.
-	ligNormals := make([]geom.Vec3, len(lig.nodeNormal))
-	for i, n := range lig.nodeNormal {
-		ligNormals[i] = tr.ApplyVector(n)
-	}
-	ligMoments := make([]geom.Mat3, len(lig.nodeMoment))
-	for i := range lig.nodeMoment {
-		// T' = R T Rᵀ (both the normal and the offset rotate).
-		ligMoments[i] = tr.R.Mul(lig.nodeMoment[i]).Mul(tr.R.Transpose())
-	}
-	var ligMoments2 []bornMom2
-	if lig.nodeMoment2 != nil {
-		// S'[i] = Σ_a R[i][a]·(R S[a] Rᵀ): the normal component mixes
-		// through R while each offset pair rotates like a Mat3.
-		ligMoments2 = make([]bornMom2, len(lig.nodeMoment2))
-		for n := range lig.nodeMoment2 {
-			var w bornMom2
-			for a := 0; a < 3; a++ {
-				w[a] = tr.R.Mul(lig.nodeMoment2[n][a]).Mul(tr.R.Transpose())
-			}
-			for i := 0; i < 3; i++ {
-				for t := 0; t < 9; t++ {
-					ligMoments2[n][i][t] = tr.R[3*i]*w[0][t] + tr.R[3*i+1]*w[1][t] + tr.R[3*i+2]*w[2][t]
-				}
-			}
-		}
-	}
+	// The moved ligand's atom side, for its Born pass, push and energy.
+	ligView := &System{Params: lig.Params, Mol: lig.Mol, TA: ligTA, atomPos: ligPos}
 
 	// ---- Born radii: cached self + cross-surface passes -----------------
 	recAcc := rec.newBornAccum()
 	copyAccum(recAcc, c.recSelf)
-	cross := &bornPass{
-		ta: rec.TA, atomPos: rec.atomPos,
-		tq: ligTQ, qpts: ligSurf.Points,
-		normals: ligNormals, moments: ligMoments, moments2: ligMoments2,
-		beta: rec.bornBeta(), ord: rec.order(), r4: rec.Params.Integral == IntegralR4,
-	}
-	for _, q := range lig.qLeaves {
-		res.Ops += cross.run(rec.TA.Root(), q, recAcc)
-	}
+	res.Ops += rec.bornPass(ligQ).leaves(lig.qLeaves, recAcc)
 	res.RecBorn = make([]float64, rec.NumAtoms())
 	rec.PushIntegralsToAtoms(recAcc, 0, rec.NumAtoms(), res.RecBorn)
 
@@ -137,20 +94,9 @@ func (c *Complex) Epol(tr geom.Transform) (*PoseResult, error) {
 			ligAcc.nodeH[i] = tr.R.Mul(c.ligSelf.nodeH[i]).Mul(tr.R.Transpose())
 		}
 	}
-	crossBack := &bornPass{
-		ta: ligTA, atomPos: ligPos,
-		tq: rec.TQ, qpts: rec.Surf.Points,
-		normals: rec.nodeNormal, moments: rec.nodeMoment, moments2: rec.nodeMoment2,
-		beta: rec.bornBeta(), ord: rec.order(), r4: rec.Params.Integral == IntegralR4,
-	}
-	for _, q := range rec.qLeaves {
-		res.Ops += crossBack.run(ligTA.Root(), q, ligAcc)
-	}
+	res.Ops += ligView.bornPass(rec.q).leaves(rec.qLeaves, ligAcc)
 	res.LigBorn = make([]float64, lig.NumAtoms())
-	pushLig := &System{ // minimal view for the push pass on moved trees
-		Params: lig.Params, Mol: lig.Mol, TA: ligTA, atomPos: ligPos,
-	}
-	pushLig.PushIntegralsToAtoms(ligAcc, 0, lig.NumAtoms(), res.LigBorn)
+	ligView.PushIntegralsToAtoms(ligAcc, 0, lig.NumAtoms(), res.LigBorn)
 
 	// ---- Energy: three interactions with shared radius classes ---------
 	rmin, rmax := math.Inf(1), 0.0
@@ -160,20 +106,18 @@ func (c *Complex) Epol(tr geom.Transform) (*PoseResult, error) {
 	for _, r := range res.LigBorn {
 		rmin, rmax = math.Min(rmin, r), math.Max(rmax, r)
 	}
-	recView := &System{Params: rec.Params, Mol: rec.Mol, TA: rec.TA, atomPos: rec.atomPos}
-	ligView := &System{Params: lig.Params, Mol: lig.Mol, TA: ligTA, atomPos: ligPos}
-	recAgg := recView.buildEpolAggregatesRange(res.RecBorn, rmin, rmax)
+	recAgg := rec.buildEpolAggregatesRange(res.RecBorn, rmin, rmax)
 	ligAgg := ligView.buildEpolAggregatesRange(res.LigBorn, rmin, rmax)
 
 	// rec–rec and lig–lig (ordered pairs within each molecule).
-	sum, ops := recView.epolPass(recAgg, recAgg, nil).leaves(rec.aLeaves)
+	sum, ops := rec.epolPass(recAgg, recAgg, nil).leaves(rec.aLeaves)
 	res.Ops += ops
 	ligLeaves := ligTA.Leaves()
 	ls, ops := ligView.epolPass(ligAgg, ligAgg, nil).leaves(ligLeaves)
 	sum += ls
 	res.Ops += ops
 	// rec–lig cross terms, counted twice (ordered-pair convention).
-	cs, ops := recView.epolPass(recAgg, ligAgg, nil).leaves(ligLeaves)
+	cs, ops := rec.epolPass(recAgg, ligAgg, nil).leaves(ligLeaves)
 	sum += 2 * cs
 	res.Ops += ops
 	res.Epol = -0.5 * Tau(rec.Params.EpsSolvent) * CoulombKcal * sum
@@ -185,76 +129,4 @@ func copyAccum(dst, src *bornAccum) {
 	copy(dst.nodeG, src.nodeG)
 	copy(dst.nodeH, src.nodeH)
 	copy(dst.atomS, src.atomS)
-}
-
-// bornPass is APPROX-INTEGRALS across two systems: atom tree ta (with
-// atomPos) against quadrature tree tq (with its points and aggregates).
-type bornPass struct {
-	ta       *octree.Tree
-	atomPos  []geom.Vec3
-	tq       *octree.Tree
-	qpts     []surface.QPoint
-	normals  []geom.Vec3
-	moments  []geom.Mat3
-	moments2 []bornMom2 // second-order moments, nil below OrderQuadrupole
-	beta     float64
-	ord      int
-	r4       bool
-}
-
-// run accumulates quadrature leaf q's contribution into acc (the same
-// recursion as System.approxIntegrals, over explicit trees).
-func (bp *bornPass) run(a, q int32, acc *bornAccum) int64 {
-	an := &bp.ta.Nodes[a]
-	qn := &bp.tq.Nodes[q]
-	d := an.Center.Dist(qn.Center)
-	pow := 6.0
-	if bp.r4 {
-		pow = 4
-	}
-	if bornFar(d, an.Radius, qn.Radius, bp.beta) {
-		diff := qn.Center.Sub(an.Center)
-		r2 := d * d
-		rp := r2 * r2
-		if !bp.r4 {
-			rp *= r2
-		}
-		var m2 *bornMom2
-		var hslot *geom.Mat3
-		if bp.ord == OrderQuadrupole {
-			m2 = &bp.moments2[q]
-			hslot = &acc.nodeH[a]
-		}
-		bornFarNode(bp.ord, diff, d, rp, pow, bp.normals[q], &bp.moments[q], m2,
-			&acc.nodeS[a], &acc.nodeG[a], hslot)
-		return 1
-	}
-	if an.Leaf {
-		ops := int64(0)
-		qItems := bp.tq.ItemsOf(q)
-		for _, ai := range bp.ta.ItemsOf(a) {
-			pa := bp.atomPos[ai]
-			sum := 0.0
-			for _, qi := range qItems {
-				qp := &bp.qpts[qi]
-				dv := qp.Pos.Sub(pa)
-				r2 := dv.Norm2()
-				rp := r2 * r2
-				if !bp.r4 {
-					rp *= r2
-				}
-				sum += qp.Weight * dv.Dot(qp.Normal) / rp
-			}
-			acc.atomS[ai] += sum
-			ops += int64(len(qItems))
-		}
-		return ops
-	}
-	ops := int64(1)
-	for _, ch := range an.Children {
-		if ch != octree.NoChild {
-			ops += bp.run(ch, q, acc)
-		}
-	}
-	return ops
 }

@@ -27,36 +27,11 @@ import (
 // the interconnect carries the bundles (P−1 rounds of point-to-point
 // traffic priced by the performance model).
 
-// qBundle is a serializable quadrature segment: its octree plus point
-// data and far-field aggregates.
-type qBundle struct {
-	tree     *octree.Tree
-	pts      []surface.QPoint
-	normals  []geom.Vec3
-	moments  []geom.Mat3
-	moments2 []bornMom2 // nil below OrderQuadrupole
-}
-
 // aBundle is a serializable atom segment: a standalone System view over
 // the segment's own octree (see segView) plus the segment's Born radii.
 type aBundle struct {
 	view  *System
 	radii []float64
-}
-
-// buildQBundle constructs the quadrature bundle for a point subset at
-// far-field expansion order ord.
-func buildQBundle(pts []surface.QPoint, leafSize, ord int) *qBundle {
-	pos := make([]geom.Vec3, len(pts))
-	for i, q := range pts {
-		pos[i] = q.Pos
-	}
-	b := &qBundle{tree: octree.Build(pos, leafSize), pts: pts}
-	b.normals, b.moments = buildQNormals(b.tree, pts)
-	if ord == OrderQuadrupole {
-		b.moments2 = buildQuadMoments(b.tree, pts, b.normals, b.moments)
-	}
-	return b
 }
 
 // encodeQ serializes the bundle's point data (the tree is rebuilt on the
@@ -183,16 +158,7 @@ func (s *System) segBorn(seg *atomSeg, P int, next func(k int) (*qBundle, error)
 		if err != nil {
 			return nil, err
 		}
-		//lint:ignore hotalloc one pass descriptor per remote segment, amortized over a full tree sweep
-		bp := &bornPass{
-			ta: view.TA, atomPos: view.atomPos,
-			tq: qb.tree, qpts: qb.pts,
-			normals: qb.normals, moments: qb.moments, moments2: qb.moments2,
-			beta: s.bornBeta(), ord: s.order(), r4: s.Params.Integral == IntegralR4,
-		}
-		for _, q := range qb.tree.Leaves() {
-			*ops += bp.run(view.TA.Root(), q, acc)
-		}
+		*ops += view.bornPass(qb).leaves(qb.tree.Leaves(), acc)
 	}
 	radii := make([]float64, view.NumAtoms())
 	*ops += view.PushIntegralsToAtoms(acc, 0, view.NumAtoms(), radii)

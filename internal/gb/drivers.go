@@ -95,48 +95,6 @@ func observePairSplit(rec *obs.Recorder, bornNear, bornFar, epolNear, epolFar in
 	rec.Observe("pairs.epol.far.rank", epolFar)
 }
 
-// runSerial is the serial octree baseline (P = p = 1), instrumented. The
-// phase structure and floating-point operation order are exactly
-// BornRadii + Epol, so the result is bitwise identical to the
-// uninstrumented pipeline (asserted by runspec_test.go).
-func (s *System) runSerial(rec *obs.Recorder) *Result {
-	sw := perf.StartTimer()
-	root := rec.StartSpan(0, spanRank)
-	defer root.End()
-
-	sp := rec.StartSpan(0, spanBorn)
-	acc := s.newBornAccum()
-	bornOps := int64(0)
-	for _, q := range s.qLeaves {
-		bornOps += s.ApproxIntegrals(s.TA.Root(), q, acc)
-	}
-	sp.End()
-
-	sp = rec.StartSpan(0, spanPush)
-	radii := make([]float64, s.NumAtoms())
-	bornOps += s.PushIntegralsToAtoms(acc, 0, s.NumAtoms(), radii)
-	sp.End()
-
-	sp = rec.StartSpan(0, spanOctree)
-	agg := s.buildEpolAggregates(radii)
-	sp.End()
-
-	sp = rec.StartSpan(0, spanEpol)
-	var tally pairTally
-	sum, epolOps := s.epolPass(agg, agg, &tally).leaves(s.aLeaves)
-	sp.End()
-
-	countPairSplit(rec, acc.near, acc.far, tally.near, tally.far)
-	observePairSplit(rec, acc.near, acc.far, tally.near, tally.far)
-	return &Result{
-		Epol:      -0.5 * Tau(s.Params.EpsSolvent) * CoulombKcal * sum,
-		Born:      radii,
-		Processes: 1, ThreadsPerProcess: 1,
-		PerCoreOps: []int64{bornOps + epolOps},
-		Wall:       sw.Elapsed(),
-	}
-}
-
 // epolPart is the energy-phase reduction accumulator: the partial raw sum
 // plus the near/far evaluation tally riding along. The sum field is
 // accumulated and merged exactly like the former bare *float64, so the
@@ -154,14 +112,21 @@ func (p *epolPart) merge(o *epolPart) {
 	p.tally.far += o.tally.far
 }
 
-// runCilk is OCT_CILK, the shared-memory driver, instrumented.
-func (s *System) runCilk(pool *sched.Pool, rec *obs.Recorder) *Result {
+// runShared is the shared-memory driver, instrumented: OCT_CILK on a
+// work-stealing pool, or the serial octree baseline (P = p = 1) when pool
+// is nil — one fold in leaf order, whose phase structure and
+// floating-point operation order are exactly BornRadii + Epol (asserted
+// by runspec_test.go).
+func (s *System) runShared(pool *sched.Pool, rec *obs.Recorder) *Result {
 	sw := perf.StartTimer()
 	root := rec.StartSpan(0, spanRank)
 	defer root.End()
-	p := pool.NumWorkers()
-	stealsBefore := pool.Steals()
-
+	p := 1
+	var stealsBefore int64
+	if pool != nil {
+		p = pool.NumWorkers()
+		stealsBefore = pool.Steals()
+	}
 	perWorkerOps := make([]int64, p)
 
 	// Phase A: APPROX-INTEGRALS over quadrature leaves. Accumulators are
@@ -169,18 +134,13 @@ func (s *System) runCilk(pool *sched.Pool, rec *obs.Recorder) *Result {
 	// randomized stealing the leaf→worker assignment varies run to run, and
 	// per-worker accumulation would make the floating-point merge order —
 	// and hence the low bits of every radius and energy — scheduling-
-	// dependent. ParallelReduce pins the reduction tree to (n, grain) so
+	// dependent. reduceRange pins the reduction tree to (n, grain) so
 	// results are bitwise reproducible (see determinism_test.go).
 	sp := rec.StartSpan(0, spanBorn)
-	grain := len(s.qLeaves)/(8*p) + 1
-	acc := sched.ParallelReduce(pool, len(s.qLeaves), grain,
-		s.newBornAccum,
-		func(w *sched.Worker, lo, hi int, acc *bornAccum) {
-			ops := int64(0)
-			for _, q := range s.qLeaves[lo:hi] {
-				ops += s.ApproxIntegrals(s.TA.Root(), q, acc)
-			}
-			perWorkerOps[w.ID()] += ops
+	bp := s.bornPass(s.q)
+	acc := reduceRange(pool, len(s.qLeaves), s.newBornAccum,
+		func(worker, lo, hi int, acc *bornAccum) {
+			perWorkerOps[worker] += bp.leaves(s.qLeaves[lo:hi], acc)
 		},
 		(*bornAccum).add)
 	sp.End()
@@ -188,9 +148,8 @@ func (s *System) runCilk(pool *sched.Pool, rec *obs.Recorder) *Result {
 	// Phase B: PUSH-INTEGRALS over atom segments.
 	sp = rec.StartSpan(0, spanPush)
 	radii := make([]float64, s.NumAtoms())
-	grain = s.NumAtoms()/(8*p) + 1
-	pool.ParallelRange(s.NumAtoms(), grain, func(w *sched.Worker, lo, hi int) {
-		perWorkerOps[w.ID()] += s.PushIntegralsToAtoms(acc, lo, hi, radii)
+	s.forRange(pool, s.NumAtoms(), func(worker, lo, hi int) {
+		perWorkerOps[worker] += s.PushIntegralsToAtoms(acc, lo, hi, radii)
 	})
 	sp.End()
 
@@ -200,30 +159,29 @@ func (s *System) runCilk(pool *sched.Pool, rec *obs.Recorder) *Result {
 	agg := s.buildEpolAggregates(radii)
 	sp.End()
 	sp = rec.StartSpan(0, spanEpol)
-	grain = len(s.aLeaves)/(8*p) + 1
-	totalP := sched.ParallelReduce(pool, len(s.aLeaves), grain,
-		newEpolPart,
-		func(w *sched.Worker, lo, hi int, part *epolPart) {
+	part := reduceRange(pool, len(s.aLeaves), newEpolPart,
+		func(worker, lo, hi int, part *epolPart) {
 			sum, ops := s.epolPass(agg, agg, &part.tally).leaves(s.aLeaves[lo:hi])
 			part.sum += sum
-			perWorkerOps[w.ID()] += ops
+			perWorkerOps[worker] += ops
 		},
 		(*epolPart).merge)
-	total := totalP.sum
 	sp.End()
 
-	countPairSplit(rec, acc.near, acc.far, totalP.tally.near, totalP.tally.far)
-	observePairSplit(rec, acc.near, acc.far, totalP.tally.near, totalP.tally.far)
-	rec.GaugeAdd("sched.steals", pool.Steals()-stealsBefore)
-
-	return &Result{
-		Epol:      -0.5 * Tau(s.Params.EpsSolvent) * CoulombKcal * total,
+	countPairSplit(rec, acc.near, acc.far, part.tally.near, part.tally.far)
+	observePairSplit(rec, acc.near, acc.far, part.tally.near, part.tally.far)
+	res := &Result{
+		Epol:      -0.5 * Tau(s.Params.EpsSolvent) * CoulombKcal * part.sum,
 		Born:      radii,
 		Processes: 1, ThreadsPerProcess: p,
 		PerCoreOps: balancePool(perWorkerOps),
-		Wall:       sw.Elapsed(),
-		Steals:     pool.Steals() - stealsBefore,
 	}
+	if pool != nil {
+		res.Steals = pool.Steals() - stealsBefore
+		rec.GaugeAdd("sched.steals", res.Steals)
+	}
+	res.Wall = sw.Elapsed()
+	return res
 }
 
 // balancePool redistributes a work-stealing pool's operation counts evenly
@@ -702,6 +660,7 @@ func reduceLeaves[T any](r *rankRun, n int, mk func() T, fn func(worker, lo, hi 
 // accumulator fresh, so a redo cannot double-count.
 func (r *rankRun) integrals() (*bornAccum, error) {
 	s := r.s
+	bp := s.bornPass(s.q)
 	var acc *bornAccum
 	var merged []float64
 	err := r.heal(spanBorn, func() error {
@@ -710,11 +669,7 @@ func (r *rankRun) integrals() (*bornAccum, error) {
 			var err error
 			acc, err = reduceLeaves(r, len(s.qLeaves), s.newBornAccum,
 				func(worker, lo, hi int, acc *bornAccum) {
-					ops := int64(0)
-					for _, q := range s.qLeaves[lo:hi] {
-						ops += s.ApproxIntegrals(s.TA.Root(), q, acc)
-					}
-					r.ops[worker] += ops
+					r.ops[worker] += bp.leaves(s.qLeaves[lo:hi], acc)
 				},
 				(*bornAccum).add)
 			if err != nil {
@@ -726,7 +681,7 @@ func (r *rankRun) integrals() (*bornAccum, error) {
 				func(worker, i0, i1 int, acc *bornAccum) {
 					ops := int64(0)
 					for _, q := range s.qLeaves[i0:i1] {
-						ops += s.approxIntegralsAtomRange(s.TA.Root(), q, int32(alo), int32(ahi), acc)
+						ops += bp.runRange(s.TA.Root(), q, int32(alo), int32(ahi), acc)
 					}
 					r.ops[worker] += ops
 				},

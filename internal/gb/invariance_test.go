@@ -106,8 +106,8 @@ func TestBornRadiusMonotone(t *testing.T) {
 		if s1 > s2 {
 			s1, s2 = s2, s1
 		}
-		r1 := bornRadiusFromIntegral(s1, 0.1)
-		r2 := bornRadiusFromIntegral(s2, 0.1)
+		r1 := bornRadiusFromIntegral(s1, 0.1, false)
+		r2 := bornRadiusFromIntegral(s2, 0.1, false)
 		return r1 >= r2
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {

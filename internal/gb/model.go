@@ -104,30 +104,18 @@ func fastExp(x float64) float64 {
 
 // bornRadiusFromIntegral converts the accumulated surface r⁶ integral
 // s = Σ w_q (p_q−p_a)·n_q/|p_q−p_a|⁶ into a Born radius via
-// 1/R³ = s/(4π), clamped below by the atom's intrinsic radius (Fig. 2's
+// 1/R³ = s/(4π) — or, for the r⁴ (Coulomb-field, Eq. 3) form, via
+// 1/R = s/(4π) — clamped below by the atom's intrinsic radius (Fig. 2's
 // "max(r_a, ...)") and above by maxBornRadius when the integral is
 // non-positive (an atom seeing no surface flux is effectively bulk).
-func bornRadiusFromIntegral(s, intrinsic float64) float64 {
-	if s <= 0 {
-		return maxBornRadius
-	}
-	r := math.Cbrt(4 * math.Pi / s)
-	if r < intrinsic {
-		return intrinsic
-	}
-	if r > maxBornRadius {
-		return maxBornRadius
-	}
-	return r
-}
-
-// bornRadiusFromIntegralR4 is the r⁴ (Coulomb-field, Eq. 3) counterpart:
-// 1/R = s/(4π).
-func bornRadiusFromIntegralR4(s, intrinsic float64) float64 {
+func bornRadiusFromIntegral(s, intrinsic float64, r4 bool) float64 {
 	if s <= 0 {
 		return maxBornRadius
 	}
 	r := 4 * math.Pi / s
+	if !r4 {
+		r = math.Cbrt(r)
+	}
 	if r < intrinsic {
 		return intrinsic
 	}

@@ -197,7 +197,7 @@ func (s *System) dispatch(spec RunSpec) (*Result, error) {
 		if spec.Faults.active() {
 			return nil, fmt.Errorf("gb: invalid spec: fault injection needs a distributed layout (set Processes, not Pool)")
 		}
-		return s.runCilk(spec.Pool, spec.Obs), nil
+		return s.runShared(spec.Pool, spec.Obs), nil
 	}
 	if spec.Processes == 0 {
 		if spec.ThreadsPerProcess > 1 {
@@ -206,7 +206,7 @@ func (s *System) dispatch(spec RunSpec) (*Result, error) {
 		if spec.Faults.active() {
 			return nil, fmt.Errorf("gb: invalid spec: fault injection needs a distributed layout (set Processes)")
 		}
-		return s.runSerial(spec.Obs), nil
+		return s.runShared(nil, spec.Obs), nil
 	}
 	p := spec.ThreadsPerProcess
 	if p == 0 {

@@ -121,22 +121,9 @@ type System struct {
 	TQ     *octree.Tree // octree over quadrature points
 
 	atomPos []geom.Vec3
-	qPos    []geom.Vec3
-
-	// Pseudo-q-point aggregates per T_Q node (Fig. 2): weighted normal
-	// sums ñ = Σ w_q n_q, and the first-order normal-moment tensor
-	// T = Σ w_q n_q (p_q − q̄)ᵀ about the node centroid. The tensor is
-	// the Greengard–Rokhlin-style p=1 correction the far field needs:
-	// a closed surface patch's weighted normals largely cancel (like the
-	// charges of a neutral cluster), so the monopole ñ alone drops the
-	// leading term of the r⁶ flux integral.
-	nodeNormal []geom.Vec3
-	nodeMoment []geom.Mat3
-	// nodeMoment2 is the second-order (p=2) moment per T_Q node: the
-	// rank-3 tensor S[i][jk] = Σ w_q n_i m_j m_k (m = p_q − q̄, symmetric
-	// in jk), stored as three matrices indexed by the normal component.
-	// Built only when the effective expansion order is OrderQuadrupole.
-	nodeMoment2 []bornMom2
+	// q is the quadrature side of the Born phase: T_Q (the same tree as
+	// TQ), the points, and the pseudo-q-point aggregates of Fig. 2.
+	q *qBundle
 
 	// Leaf lists (deterministic order) for node-based work division.
 	qLeaves []int32
@@ -169,18 +156,94 @@ func NewSystem(mol *molecule.Molecule, surf *surface.Surface, params Params) (*S
 		Mol:     mol,
 		Surf:    surf,
 		atomPos: mol.Positions(),
-		qPos:    surf.Positions(),
+		q:       buildQBundle(surf.Points, params.LeafQPoints, params.Accuracy.Order),
 	}
 	s.TA = octree.Build(s.atomPos, params.LeafAtoms)
-	s.TQ = octree.Build(s.qPos, params.LeafQPoints)
+	s.TQ = s.q.tree
 	s.qLeaves = s.TQ.Leaves()
 	s.aLeaves = s.TA.Leaves()
-
-	s.nodeNormal, s.nodeMoment = buildQNormals(s.TQ, surf.Points)
-	if params.Accuracy.Order == OrderQuadrupole {
-		s.nodeMoment2 = buildQuadMoments(s.TQ, surf.Points, s.nodeNormal, s.nodeMoment)
-	}
 	return s, nil
+}
+
+// qBundle is one quadrature side of the Born phase: an octree over the
+// points plus the pseudo-q-point aggregates per node (Fig. 2) — weighted
+// normal sums ñ = Σ w_q n_q, and the first-order normal-moment tensor
+// T = Σ w_q n_q (p_q − q̄)ᵀ about the node centroid. The tensor is the
+// Greengard–Rokhlin-style p=1 correction the far field needs: a closed
+// surface patch's weighted normals largely cancel (like the charges of a
+// neutral cluster), so the monopole ñ alone drops the leading term of the
+// r⁶ flux integral. A System holds its whole surface as one bundle; the
+// Segmented scheme ships one bundle per quadrature segment.
+type qBundle struct {
+	tree    *octree.Tree
+	pts     []surface.QPoint
+	normals []geom.Vec3
+	moments []geom.Mat3
+	// moments2 is the second-order (p=2) moment per node: the rank-3
+	// tensor S[i][jk] = Σ w_q n_i m_j m_k (m = p_q − q̄, symmetric in jk),
+	// stored as three matrices indexed by the normal component. Nil below
+	// OrderQuadrupole.
+	moments2 []bornMom2
+}
+
+// buildQBundle constructs the quadrature bundle for a point set at
+// far-field expansion order ord.
+func buildQBundle(pts []surface.QPoint, leafSize, ord int) *qBundle {
+	pos := make([]geom.Vec3, len(pts))
+	for i, q := range pts {
+		pos[i] = q.Pos
+	}
+	b := &qBundle{tree: octree.Build(pos, leafSize), pts: pts}
+	b.normals, b.moments = buildQNormals(b.tree, pts)
+	if ord == OrderQuadrupole {
+		b.moments2 = buildQuadMoments(b.tree, pts, b.normals, b.moments)
+	}
+	return b
+}
+
+// transformed returns the bundle rigidly moved by tr in O(n), without a
+// rebuild: points and tree move, and the aggregates rotate with the pose
+// (the docking reuse of §IV-C).
+func (b *qBundle) transformed(tr geom.Transform) (*qBundle, error) {
+	out := &qBundle{
+		pts:     make([]surface.QPoint, len(b.pts)),
+		normals: make([]geom.Vec3, len(b.normals)),
+		moments: make([]geom.Mat3, len(b.moments)),
+	}
+	pos := make([]geom.Vec3, len(b.pts))
+	for i, q := range b.pts {
+		q.Pos = tr.Apply(q.Pos)
+		q.Normal = tr.ApplyVector(q.Normal)
+		out.pts[i] = q
+		pos[i] = q.Pos
+	}
+	var err error
+	if out.tree, err = b.tree.Transformed(tr, pos); err != nil {
+		return nil, err
+	}
+	rt := tr.R.Transpose()
+	for i, n := range b.normals {
+		out.normals[i] = tr.ApplyVector(n)
+		// T' = R T Rᵀ (both the normal and the offset rotate).
+		out.moments[i] = tr.R.Mul(b.moments[i]).Mul(rt)
+	}
+	if b.moments2 != nil {
+		// S'[i] = Σ_a R[i][a]·(R S[a] Rᵀ): the normal component mixes
+		// through R while each offset pair rotates like a Mat3.
+		out.moments2 = make([]bornMom2, len(b.moments2))
+		for n := range b.moments2 {
+			var w bornMom2
+			for a := 0; a < 3; a++ {
+				w[a] = tr.R.Mul(b.moments2[n][a]).Mul(rt)
+			}
+			for i := 0; i < 3; i++ {
+				for t := 0; t < 9; t++ {
+					out.moments2[n][i][t] = tr.R[3*i]*w[0][t] + tr.R[3*i+1]*w[1][t] + tr.R[3*i+2]*w[2][t]
+				}
+			}
+		}
+	}
+	return out, nil
 }
 
 // buildQNormals aggregates the weighted normal ñ = Σ w n and the
@@ -312,7 +375,7 @@ func (s *System) DataBytes() int64 {
 	atoms := int64(s.NumAtoms())
 	qpts := int64(s.NumQPoints())
 	return atoms*(24+8+8+8+8) + qpts*(24+24+8) +
-		s.TA.MemoryBytes() + s.TQ.MemoryBytes() + int64(len(s.nodeNormal))*24
+		s.TA.MemoryBytes() + s.TQ.MemoryBytes() + int64(len(s.q.normals))*24
 }
 
 // segment returns the half-open [lo, hi) bounds of the i-th of n equal
