@@ -116,6 +116,7 @@ perfbench-check:
 # in the tree. A failing input lands in that corpus directory.
 FUZZ_TARGETS = FuzzReadXYZRQ:./internal/molecule/ FuzzReadPQR:./internal/molecule/ \
 	FuzzDecodeCheckpoint:./internal/gb/ FuzzEpolVsNaive:./internal/gb/ \
+	FuzzEpolRanges:./internal/gb/ \
 	FuzzParsePlan:./internal/fault/ FuzzParsePlan:./internal/fault/fs/
 
 fuzz-smoke:

@@ -106,11 +106,11 @@ type bornAccum struct {
 	// distributed payload shape) bitwise identical to before.
 	nodeH []geom.Mat3
 	atomS []float64 // s_a per atom (original index)
-	// near/far tally the exact-pair and approximated evaluations for the
-	// obs pair counters. They ride along with the numeric fields but stay
+	// The tally counts the exact-pair and approximated evaluations for the
+	// obs pair counters. It rides along with the numeric fields but stays
 	// rank-local: encode/decode, the distributed driver's wire format, carry
 	// only the numeric payload, so each rank reports its own work split.
-	near, far int64
+	pairTally
 }
 
 func (s *System) newBornAccum() *bornAccum {
@@ -144,8 +144,7 @@ func (b *bornAccum) add(o *bornAccum) {
 	for i, v := range o.atomS {
 		b.atomS[i] += v
 	}
-	b.near += o.near
-	b.far += o.far
+	b.pairTally.add(o.pairTally)
 }
 
 // bornFarNode accumulates the order-ord far-field expansion of one

@@ -251,8 +251,8 @@ func TestSegment(t *testing.T) {
 
 func TestAccessorsAndStrings(t *testing.T) {
 	s := newTestSystem(t, ion(1.5), surface.Config{IcoLevel: 1}, DefaultParams())
-	if len(s.QLeaves()) == 0 || len(s.ALeaves()) == 0 {
-		t.Error("leaf accessors empty")
+	if len(s.qLeaves) == 0 || len(s.aLeaves) == 0 {
+		t.Error("leaf lists empty")
 	}
 	if NodeNode.String() != "node-node" || AtomNode.String() != "atom-node" {
 		t.Errorf("Division strings: %v %v", NodeNode, AtomNode)

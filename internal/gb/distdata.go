@@ -149,8 +149,9 @@ func (s *System) distABundle(P, segRank int, radiiFull []float64) *aBundle {
 // quadrature segments, which next(k), k = 0..P−1, supplies (the ring
 // delivers them in round order, a local rebuild in segment order), then
 // PUSH-INTEGRALS over the segment's own tree. Returns the radii in
-// segment order; ops are charged to the calling rank.
-func (s *System) segBorn(seg *atomSeg, P int, next func(k int) (*qBundle, error), ops *int64) ([]float64, error) {
+// segment order; ops are charged to the calling rank and the near/far
+// split is added to pairs.
+func (s *System) segBorn(seg *atomSeg, P int, next func(k int) (*qBundle, error), ops *int64, pairs *pairTally) ([]float64, error) {
 	view := seg.view
 	acc := view.newBornAccum()
 	for k := 0; k < P; k++ {
@@ -162,16 +163,17 @@ func (s *System) segBorn(seg *atomSeg, P int, next func(k int) (*qBundle, error)
 	}
 	radii := make([]float64, view.NumAtoms())
 	*ops += view.PushIntegralsToAtoms(acc, 0, view.NumAtoms(), radii)
+	pairs.add(acc.pairTally)
 	return radii, nil
 }
 
 // distSegRadii computes segment segRank's Born radii entirely locally —
 // its atoms against every quadrature segment, all rebuilt from replicated
 // input. This is the adoption path a survivor runs for a dead rank's
-// segment; ops are charged to the adopter.
-func (s *System) distSegRadii(P, segRank int, ops *int64) (*atomSeg, []float64, error) {
+// segment; ops and pairs are charged to the adopter.
+func (s *System) distSegRadii(P, segRank int, ops *int64, pairs *pairTally) (*atomSeg, []float64, error) {
 	seg := s.atomSeg(P, segRank)
-	radii, err := s.segBorn(seg, P, func(q int) (*qBundle, error) { return s.distQSeg(P, q), nil }, ops)
+	radii, err := s.segBorn(seg, P, func(q int) (*qBundle, error) { return s.distQSeg(P, q), nil }, ops, pairs)
 	return seg, radii, err
 }
 
@@ -180,11 +182,11 @@ func (s *System) distSegRadii(P, segRank int, ops *int64) (*atomSeg, []float64, 
 // which next(k), k = 1..P−1, supplies. Only that one direction: the
 // opposite one is V's turn as a U, so over all segments every ordered
 // cross pair is counted exactly once. Aggregates of every segment span
-// the shared radius range [rmin, rmax].
-func (s *System) segEnergy(v *aBundle, P int, rmin, rmax float64, next func(k int) (*aBundle, error), ops *int64) (float64, error) {
+// the shared radius range [rmin, rmax]; tally takes the near/far split.
+func (s *System) segEnergy(v *aBundle, P int, rmin, rmax float64, next func(k int) (*aBundle, error), ops *int64, tally *pairTally) (float64, error) {
 	leaves := v.view.TA.Leaves()
 	vAgg := v.view.buildEpolAggregatesRange(v.radii, rmin, rmax)
-	partial, vops := s.epolPass(vAgg, vAgg, nil).leaves(leaves)
+	partial, vops := s.epolPass(vAgg, vAgg, tally).leaves(leaves)
 	*ops += vops
 	for k := 1; k < P; k++ {
 		u, err := next(k)
@@ -192,7 +194,7 @@ func (s *System) segEnergy(v *aBundle, P int, rmin, rmax float64, next func(k in
 			return 0, err
 		}
 		uAgg := u.view.buildEpolAggregatesRange(u.radii, rmin, rmax)
-		us, uops := s.epolPass(uAgg, vAgg, nil).leaves(leaves)
+		us, uops := s.epolPass(uAgg, vAgg, tally).leaves(leaves)
 		partial += us
 		*ops += uops
 	}
@@ -203,14 +205,14 @@ func (s *System) segEnergy(v *aBundle, P int, rmin, rmax float64, next func(k in
 // from the full radii vector, the other segments taken in ascending
 // order. Coverage matches the ring protocol as long as every segment has
 // exactly one owner.
-func (s *System) distSegEnergy(P, vSeg int, radiiFull []float64, rmin, rmax float64, ops *int64) (float64, error) {
+func (s *System) distSegEnergy(P, vSeg int, radiiFull []float64, rmin, rmax float64, ops *int64, tally *pairTally) (float64, error) {
 	return s.segEnergy(s.distABundle(P, vSeg, radiiFull), P, rmin, rmax, func(k int) (*aBundle, error) {
 		u := k - 1
 		if u >= vSeg {
 			u = k
 		}
 		return s.distABundle(P, u, radiiFull), nil
-	}, ops)
+	}, ops, tally)
 }
 
 // segOwner maps a data segment to the live rank that computes for it: a
@@ -250,15 +252,17 @@ func (r *rankRun) segIntegrals() (*segRun, error) {
 	ownQ := s.distQSeg(r.P, r.rank)
 	ownEnc := ownQ.encode()
 	var err error
+	var pairs pairTally
 	g.radii, err = s.segBorn(g.own, r.P, func(round int) (*qBundle, error) {
 		if round == 0 {
 			return ownQ, nil
 		}
 		return r.ringQ(round, ownEnc)
-	}, &r.ops[0])
+	}, &r.ops[0], &pairs)
 	if err != nil {
 		return nil, err
 	}
+	pairs.publish(r.rec, &bornPairNames)
 	sp.End()
 	return g, nil
 }
@@ -313,16 +317,20 @@ func (g *segRun) gatherRadii(radii []float64) error {
 		// size.
 		flat := make([]float64, 0, 2*len(g.radii)*(1+len(g.lost)))
 		flat = appendPairs(flat, g.own.idx, g.radii)
+		var adopted pairTally
 		for _, d := range g.lost {
 			if segOwner(d, g.lost, g.live) != g.rank {
 				continue
 			}
-			seg, rd, err := s.distSegRadii(g.P, d, &g.ops[0])
+			seg, rd, err := s.distSegRadii(g.P, d, &g.ops[0], &adopted)
 			if err != nil {
 				return err
 			}
 			flat = appendPairs(flat, seg.idx, rd)
 		}
+		// Adopted segments' Born work counts; .rank samples own segments.
+		g.rec.Count(bornPairNames[0], adopted.near)
+		g.rec.Count(bornPairNames[1], adopted.far)
 		var err error
 		all, err = g.c.Allgatherv(flat)
 		return err
@@ -386,12 +394,13 @@ func (g *segRun) energy(radiiFull []float64) (float64, error) {
 	var sum float64
 	err := g.heal(spanEpol, func() error {
 		partial := 0.0
+		var tally pairTally
 		if g.ft {
 			for seg := 0; seg < g.P; seg++ {
 				if segOwner(seg, g.lost, g.live) != g.rank {
 					continue
 				}
-				e, err := s.distSegEnergy(g.P, seg, radiiFull, g.rmin, g.rmax, &g.ops[0])
+				e, err := s.distSegEnergy(g.P, seg, radiiFull, g.rmin, g.rmax, &g.ops[0], &tally)
 				if err != nil {
 					return err
 				}
@@ -411,11 +420,12 @@ func (g *segRun) energy(radiiFull []float64) (float64, error) {
 					return nil, err
 				}
 				return decodeA(data, s.Params), nil
-			}, &g.ops[0])
+			}, &g.ops[0], &tally)
 			if err != nil {
 				return err
 			}
 		}
+		tally.publish(g.rec, &epolPairNames)
 		out, err := g.c.Allreduce([]float64{partial}, simmpi.Sum)
 		if err != nil {
 			return err

@@ -2,6 +2,7 @@ package gb
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"gbpolar/internal/obs"
@@ -72,27 +73,22 @@ func phaseName(base string, iter int) string {
 	return redoPrefix + base
 }
 
-// countPairSplit publishes an iteration's near/far evaluation split. The
-// counts are work-done totals across ranks (and across redo iterations),
-// so they are deterministic exactly when the iteration structure is —
-// always for crash-free runs.
-func countPairSplit(rec *obs.Recorder, bornNear, bornFar, epolNear, epolFar int64) {
-	rec.Count("pairs.born.near", bornNear)
-	rec.Count("pairs.born.far", bornFar)
-	rec.Count("pairs.epol.near", epolNear)
-	rec.Count("pairs.epol.far", epolFar)
-}
+// Obs names of a phase's near/far evaluation split: the work-done
+// counters, then the counter-side ".rank" histograms.
+var (
+	bornPairNames = [4]string{"pairs.born.near", "pairs.born.far", "pairs.born.near.rank", "pairs.born.far.rank"}
+	epolPairNames = [4]string{"pairs.epol.near", "pairs.epol.far", "pairs.epol.near.rank", "pairs.epol.far.rank"}
+)
 
-// observePairSplit feeds one rank's (or the whole run's, for the
-// non-distributed drivers) near/far split into the counter-side
-// ".rank"-suffixed histograms: the distribution across ranks is how load
-// imbalance of the static division shows up, and it is as deterministic
-// as the per-rank totals themselves.
-func observePairSplit(rec *obs.Recorder, bornNear, bornFar, epolNear, epolFar int64) {
-	rec.Observe("pairs.born.near.rank", bornNear)
-	rec.Observe("pairs.born.far.rank", bornFar)
-	rec.Observe("pairs.epol.near.rank", epolNear)
-	rec.Observe("pairs.epol.far.rank", epolFar)
+// publish records one rank's (or the shared-memory run's) split of a
+// phase iteration. The counters are work-done totals across ranks and
+// redo iterations, deterministic for crash-free runs; the histograms'
+// per-rank distribution shows the static division's load imbalance.
+func (t pairTally) publish(rec *obs.Recorder, names *[4]string) {
+	rec.Count(names[0], t.near)
+	rec.Count(names[1], t.far)
+	rec.Observe(names[2], t.near)
+	rec.Observe(names[3], t.far)
 }
 
 // epolPart is the energy-phase reduction accumulator: the partial raw sum
@@ -108,8 +104,32 @@ func newEpolPart() *epolPart { return new(epolPart) }
 
 func (p *epolPart) merge(o *epolPart) {
 	p.sum += o.sum
-	p.tally.near += o.tally.near
-	p.tally.far += o.tally.far
+	p.tally.add(o.tally)
+}
+
+// bornFold is the Born phase body every driver folds: quadrature leaves
+// qs[i0:i1] against the atoms of item range [lo, hi) (bornPass.runRange,
+// which is run itself on the full range), evaluations counted into
+// ops[worker].
+func (s *System) bornFold(qs []int32, lo, hi int, ops []int64) func(worker, i0, i1 int, acc *bornAccum) {
+	bp := s.bornPass(s.q)
+	return func(worker, i0, i1 int, acc *bornAccum) {
+		n := int64(0)
+		for _, q := range qs[i0:i1] {
+			n += bp.runRange(s.TA.Root(), q, int32(lo), int32(hi), acc)
+		}
+		ops[worker] += n
+	}
+}
+
+// epolFold is the energy phase body every driver folds: atom leaves
+// vs[i0:i1], clipped to item range [lo, hi), against the whole tree.
+func (s *System) epolFold(agg *epolAggregates, vs []int32, lo, hi int, ops []int64) func(worker, i0, i1 int, part *epolPart) {
+	return func(worker, i0, i1 int, part *epolPart) {
+		sum, n := s.epolPass(agg, agg, &part.tally).within(lo, hi).leaves(vs[i0:i1])
+		part.sum += sum
+		ops[worker] += n
+	}
 }
 
 // runShared is the shared-memory driver, instrumented: OCT_CILK on a
@@ -136,19 +156,16 @@ func (s *System) runShared(pool *sched.Pool, rec *obs.Recorder) *Result {
 	// and hence the low bits of every radius and energy — scheduling-
 	// dependent. reduceRange pins the reduction tree to (n, grain) so
 	// results are bitwise reproducible (see determinism_test.go).
+	n := s.NumAtoms()
 	sp := rec.StartSpan(0, spanBorn)
-	bp := s.bornPass(s.q)
 	acc := reduceRange(pool, len(s.qLeaves), s.newBornAccum,
-		func(worker, lo, hi int, acc *bornAccum) {
-			perWorkerOps[worker] += bp.leaves(s.qLeaves[lo:hi], acc)
-		},
-		(*bornAccum).add)
+		s.bornFold(s.qLeaves, 0, n, perWorkerOps), (*bornAccum).add)
 	sp.End()
 
 	// Phase B: PUSH-INTEGRALS over atom segments.
 	sp = rec.StartSpan(0, spanPush)
-	radii := make([]float64, s.NumAtoms())
-	s.forRange(pool, s.NumAtoms(), func(worker, lo, hi int) {
+	radii := make([]float64, n)
+	s.forRange(pool, n, func(worker, lo, hi int) {
 		perWorkerOps[worker] += s.PushIntegralsToAtoms(acc, lo, hi, radii)
 	})
 	sp.End()
@@ -160,16 +177,11 @@ func (s *System) runShared(pool *sched.Pool, rec *obs.Recorder) *Result {
 	sp.End()
 	sp = rec.StartSpan(0, spanEpol)
 	part := reduceRange(pool, len(s.aLeaves), newEpolPart,
-		func(worker, lo, hi int, part *epolPart) {
-			sum, ops := s.epolPass(agg, agg, &part.tally).leaves(s.aLeaves[lo:hi])
-			part.sum += sum
-			perWorkerOps[worker] += ops
-		},
-		(*epolPart).merge)
+		s.epolFold(agg, s.aLeaves, 0, n, perWorkerOps), (*epolPart).merge)
 	sp.End()
 
-	countPairSplit(rec, acc.near, acc.far, part.tally.near, part.tally.far)
-	observePairSplit(rec, acc.near, acc.far, part.tally.near, part.tally.far)
+	acc.publish(rec, &bornPairNames)
+	part.tally.publish(rec, &epolPairNames)
 	res := &Result{
 		Epol:      -0.5 * Tau(s.Params.EpsSolvent) * CoulombKcal * part.sum,
 		Born:      radii,
@@ -470,7 +482,7 @@ func (s *System) runDistributed(P, p int, spec RunSpec) (*Result, error) {
 		if seg != nil {
 			sum, err = seg.energy(radii)
 		} else {
-			sum, err = r.energy(radii, agg)
+			sum, err = r.energy(agg)
 		}
 		if err != nil {
 			return err
@@ -557,20 +569,39 @@ type rankRun struct {
 	bound                  float64
 }
 
-// share partitions n items for this rank: the seed's static segment
+// share partitions n items for a rank: the seed's static segment
 // without faults, the agreed-live straggler-weighted partition with them,
 // and under Dynamic the static segment over the compute ranks 1..P−1
 // (the coordinator, rank 0, gets nothing).
-func (r *rankRun) share(n int) (int, int) {
+func (r *rankRun) share(n, rank int) (int, int) {
 	switch {
-	case r.scheme == Dynamic && r.rank == 0:
+	case r.scheme == Dynamic && rank == 0:
 		return 0, 0
 	case r.scheme == Dynamic:
-		return segment(n, r.P-1, r.rank-1)
+		return segment(n, r.P-1, rank-1)
 	case r.ft:
-		return liveShare(n, r.live, r.stragglers, r.rank)
+		return liveShare(n, r.live, r.stragglers, rank)
 	}
-	return segment(n, r.P, r.rank)
+	return segment(n, r.P, rank)
+}
+
+// energyShare is rank d's energy share as an atom item range: its atom
+// range under the atom division, the items of its leaf range under the
+// node division, and every atom under Dynamic, whose chunks may come
+// from any leaf range.
+func (r *rankRun) energyShare(d int) (lo, hi int) {
+	s := r.s
+	switch {
+	case r.scheme == Dynamic:
+		return 0, s.NumAtoms()
+	case s.Params.Division == AtomNode:
+		return r.share(s.NumAtoms(), d)
+	}
+	l0, l1 := r.share(len(s.aLeaves), d)
+	if l0 >= l1 {
+		return 0, 0
+	}
+	return int(s.TA.Nodes[s.aLeaves[l0]].Start), int(s.TA.Nodes[s.aLeaves[l1-1]].End)
 }
 
 // heal runs one phase under the heal-by-redo discipline (see faulttol.go).
@@ -621,10 +652,9 @@ func (r *rankRun) heal(span string, step func() error, deadShare func(d int) []i
 				//lint:ignore hotalloc cold degrade path; the dead share's atom count is unknown until the walk completes
 				deadAtoms = append(deadAtoms, deadShare(d)...)
 			}
-			// A Replicated NodeNode share is a leaf range of the symmetric
+			// A Replicated share is an item range of the symmetric
 			// whole-tree walk (degradedBound doubles its cross term).
-			mirrored := r.scheme != Segmented && r.s.Params.Division == NodeNode
-			r.bound = r.s.degradedBound(deadAtoms, mirrored)
+			r.bound = r.s.degradedBound(deadAtoms, r.scheme != Segmented)
 			r.degraded = true
 			sp.End()
 			break
@@ -637,11 +667,11 @@ func (r *rankRun) heal(span string, step func() error, deadShare func(d int) []i
 	return nil
 }
 
-// reduceLeaves folds fn over this rank's share of n node-division leaves
-// (see reduceRange); fn receives absolute leaf bounds. Under Dynamic the
-// share arrives as coordinator-served chunks folded in grant order, and
-// the coordinator itself folds nothing.
-func reduceLeaves[T any](r *rankRun, n int, mk func() T, fn func(worker, lo, hi int, acc T), merge func(dst, src T)) (T, error) {
+// reduceLeaves folds fn over this rank's leaves [lo, hi) of a phase's
+// n-leaf list (see reduceRange); fn receives absolute leaf bounds. Under
+// Dynamic the leaves arrive instead as coordinator-served chunks of
+// [0, n) folded in grant order, and the coordinator folds nothing.
+func reduceLeaves[T any](r *rankRun, n, lo, hi int, mk func() T, fn func(worker, lo, hi int, acc T), merge func(dst, src T)) (T, error) {
 	if r.scheme == Dynamic {
 		acc := mk()
 		if r.rank == 0 {
@@ -649,54 +679,38 @@ func reduceLeaves[T any](r *rankRun, n int, mk func() T, fn func(worker, lo, hi 
 		}
 		return acc, drainChunks(r.c, func(lo, hi int) { fn(0, lo, hi, acc) })
 	}
-	lo, hi := r.share(n)
 	return reduceRange(r.pool, hi-lo, mk, func(worker, i0, i1 int, acc T) {
 		fn(worker, lo+i0, lo+i1, acc)
 	}, merge), nil
 }
 
 // integrals is Fig. 4 Steps 1-3: this rank's share of APPROX-INTEGRALS,
-// merged across ranks by Allreduce. Each heal iteration rebuilds the
-// accumulator fresh, so a redo cannot double-count.
+// merged across ranks by Allreduce. The node division shares out the
+// quadrature leaves against every atom, the atom division every
+// quadrature leaf against the rank's atom range. Each heal iteration
+// rebuilds the accumulator fresh, so a redo cannot double-count.
 func (r *rankRun) integrals() (*bornAccum, error) {
 	s := r.s
-	bp := s.bornPass(s.q)
 	var acc *bornAccum
 	var merged []float64
 	err := r.heal(spanBorn, func() error {
-		switch s.Params.Division {
-		case NodeNode:
-			var err error
-			acc, err = reduceLeaves(r, len(s.qLeaves), s.newBornAccum,
-				func(worker, lo, hi int, acc *bornAccum) {
-					r.ops[worker] += bp.leaves(s.qLeaves[lo:hi], acc)
-				},
-				(*bornAccum).add)
-			if err != nil {
-				return err
-			}
-		case AtomNode:
-			alo, ahi := r.share(s.NumAtoms())
-			acc = reduceRange(r.pool, len(s.qLeaves), s.newBornAccum,
-				func(worker, i0, i1 int, acc *bornAccum) {
-					ops := int64(0)
-					for _, q := range s.qLeaves[i0:i1] {
-						ops += bp.runRange(s.TA.Root(), q, int32(alo), int32(ahi), acc)
-					}
-					r.ops[worker] += ops
-				},
-				(*bornAccum).add)
+		qlo, qhi, alo, ahi := 0, len(s.qLeaves), 0, s.NumAtoms()
+		if s.Params.Division == AtomNode {
+			alo, ahi = r.share(ahi, r.rank)
+		} else {
+			qlo, qhi = r.share(qhi, r.rank)
+		}
+		var err error
+		acc, err = reduceLeaves(r, len(s.qLeaves), qlo, qhi, s.newBornAccum,
+			s.bornFold(s.qLeaves, alo, ahi, r.ops), (*bornAccum).add)
+		if err != nil {
+			return err
 		}
 		// Work-done counters: a redo iteration counts again, because the
-		// evaluations really ran again. The per-rank values also feed the
-		// cross-rank split histograms.
-		r.rec.Count("pairs.born.near", acc.near)
-		r.rec.Count("pairs.born.far", acc.far)
-		r.rec.Observe("pairs.born.near.rank", acc.near)
-		r.rec.Observe("pairs.born.far.rank", acc.far)
+		// evaluations really ran again.
+		acc.publish(r.rec, &bornPairNames)
 		// Flattened integral payload of Fig. 4 Step 3 (order-aware: the
 		// Hessian block rides along only at OrderQuadrupole).
-		var err error
 		merged, err = r.c.Allreduce(acc.encode(), simmpi.Sum)
 		return err
 	}, nil)
@@ -713,7 +727,7 @@ func (r *rankRun) radii(acc *bornAccum, radii []float64) error {
 	s := r.s
 	var all []float64
 	err := r.heal(spanPush, func() error {
-		alo, ahi := r.share(s.NumAtoms())
+		alo, ahi := r.share(s.NumAtoms(), r.rank)
 		s.forRange(r.pool, ahi-alo, func(worker int, i0, i1 int) {
 			r.ops[worker] += s.PushIntegralsToAtoms(acc, alo+i0, alo+i1, radii)
 		})
@@ -752,47 +766,18 @@ func (r *rankRun) radii(acc *bornAccum, radii []float64) error {
 
 // energy is Fig. 4 Steps 6-7: this rank's share of APPROX-Epol, reduced
 // across ranks. It returns the raw pair sum (before the −½τC factor).
-func (r *rankRun) energy(radii []float64, agg *epolAggregates) (float64, error) {
+func (r *rankRun) energy(agg *epolAggregates) (float64, error) {
 	s := r.s
 	var sum float64
 	err := r.heal(spanEpol, func() error {
-		var part *epolPart
-		switch s.Params.Division {
-		case NodeNode:
-			var err error
-			part, err = reduceLeaves(r, len(s.aLeaves), newEpolPart,
-				func(worker, lo, hi int, part *epolPart) {
-					sum, ops := s.epolPass(agg, agg, &part.tally).leaves(s.aLeaves[lo:hi])
-					part.sum += sum
-					r.ops[worker] += ops
-				},
-				(*epolPart).merge)
-			if err != nil {
-				return err
-			}
-		case AtomNode:
-			kernel := pairEnergyKernel(s.Params.Math)
-			factor := s.epolFactor()
-			alo, ahi := r.share(s.NumAtoms())
-			part = reduceRange(r.pool, ahi-alo, newEpolPart,
-				func(worker, i0, i1 int, part *epolPart) {
-					sum := 0.0
-					ops := int64(0)
-					for pos := alo + i0; pos < alo+i1; pos++ {
-						ai := s.TA.Items[pos]
-						vs, vops := s.approxEpolAtom(ai, s.TA.Root(), radii, agg, kernel, factor, &part.tally)
-						sum += vs
-						ops += vops
-					}
-					part.sum += sum
-					r.ops[worker] += ops
-				},
-				(*epolPart).merge)
+		lo, hi := r.energyShare(r.rank)
+		l0, l1 := s.leafSpan(lo, hi)
+		part, err := reduceLeaves(r, len(s.aLeaves), l0, l1, newEpolPart,
+			s.epolFold(agg, s.aLeaves, lo, hi, r.ops), (*epolPart).merge)
+		if err != nil {
+			return err
 		}
-		r.rec.Count("pairs.epol.near", part.tally.near)
-		r.rec.Count("pairs.epol.far", part.tally.far)
-		r.rec.Observe("pairs.epol.near.rank", part.tally.near)
-		r.rec.Observe("pairs.epol.far.rank", part.tally.far)
+		part.tally.publish(r.rec, &epolPairNames)
 		out, err := r.c.Allreduce([]float64{part.sum}, simmpi.Sum)
 		if err != nil {
 			return err
@@ -800,12 +785,19 @@ func (r *rankRun) energy(radii []float64, agg *epolAggregates) (float64, error) 
 		sum = out[0]
 		return nil
 	}, func(d int) []int32 {
-		if s.Params.Division == NodeNode {
-			return s.shareAtomsNodeNode(liveShare(len(s.aLeaves), r.live, r.stragglers, d))
-		}
-		return s.shareAtomsAtomNode(liveShare(s.NumAtoms(), r.live, r.stragglers, d))
+		lo, hi := r.energyShare(d)
+		return s.TA.Items[lo:hi]
 	})
 	return sum, err
+}
+
+// leafSpan returns the index range [l0, l1) of the atom leaves that
+// overlap item range [lo, hi); s.aLeaves is in item order.
+func (s *System) leafSpan(lo, hi int) (int, int) {
+	nodes, leaves := s.TA.Nodes, s.aLeaves
+	l0 := sort.Search(len(leaves), func(i int) bool { return int(nodes[leaves[i]].End) > lo })
+	l1 := sort.Search(len(leaves), func(i int) bool { return int(nodes[leaves[i]].Start) >= hi })
+	return l0, max(l0, l1)
 }
 
 // scatterPairs writes gathered (atom index, radius) pairs into radii.

@@ -180,6 +180,28 @@ func TestAtomDivisionEnergyVariesWithP(t *testing.T) {
 	}
 }
 
+// At P = 1 the atom division's one share is every atom: its Born fold
+// runs runRange on the full range and its energy fold every leaf whole,
+// so it must reproduce the node division bit for bit.
+func TestAtomDivisionP1MatchesNodeDivision(t *testing.T) {
+	params := DefaultParams()
+	params.Division = AtomNode
+	atom := buildSys(t, 600, params)
+	node := buildSys(t, 600, DefaultParams())
+	a, n := mustRun(t, atom, RunSpec{Processes: 1}), mustRun(t, node, RunSpec{Processes: 1})
+	if math.Float64bits(a.Epol) != math.Float64bits(n.Epol) {
+		t.Errorf("AtomNode P=1 Epol %v, NodeNode P=1 %v", a.Epol, n.Epol)
+	}
+	for i := range a.Born {
+		if math.Float64bits(a.Born[i]) != math.Float64bits(n.Born[i]) {
+			t.Fatalf("Born[%d]: AtomNode %v, NodeNode %v", i, a.Born[i], n.Born[i])
+		}
+	}
+	if a.TotalOps() != n.TotalOps() {
+		t.Errorf("TotalOps: AtomNode %d, NodeNode %d", a.TotalOps(), n.TotalOps())
+	}
+}
+
 func TestNodeDivisionEnergyConstantAcrossP(t *testing.T) {
 	s := buildSys(t, 600, DefaultParams())
 	var first float64

@@ -23,13 +23,18 @@ import (
 // chunk-protocol message layout: a worker sends {workerRank}; the
 // coordinator answers {lo, hi} (hi ≤ lo means "phase drained").
 
-// coordinator serves chunks of [0, total) to ranks 1..P−1 and returns
-// when every worker has been told the phase is drained. Guided
-// self-scheduling: each grant is remaining/(4·workers), floored at
-// minChunk. Workers that die mid-phase are counted as drained so the
-// coordinator cannot spin forever waiting for their requests.
+// grantSize is the guided self-scheduling rule: a quarter of the
+// remaining leaves per worker, at least one. A phase's chunk bounds thus
+// depend only on the leaf and worker counts, not on request arrival.
+func grantSize(remaining, workers int) int {
+	return max(remaining/(4*workers), 1)
+}
+
+// coordinator serves chunks of [0, total) to ranks 1..P−1 (grantSize)
+// and returns when every worker has been told the phase is drained.
+// Workers that die mid-phase are counted as drained so the coordinator
+// cannot spin forever waiting for their requests.
 func coordinate(c *simmpi.Comm, total int) error {
-	const minChunk = 1
 	workers := c.Size() - 1
 	next := 0
 	done := 0
@@ -59,11 +64,7 @@ func coordinate(c *simmpi.Comm, total int) error {
 				done++
 				continue
 			}
-			grant := (total - next) / (4 * workers)
-			if grant < minChunk {
-				grant = minChunk
-			}
-			lo, hi := next, min(next+grant, total)
+			lo, hi := next, min(next+grantSize(total-next, workers), total)
 			next = hi
 			//lint:ignore hotalloc two-word control message per protocol turn; Send copies it immediately
 			if err := c.Send(from, []float64{float64(lo), float64(hi)}); err != nil {

@@ -62,7 +62,11 @@ func TestRunMPIDynamicValidation(t *testing.T) {
 // On a workload with skewed leaf costs — a dense globule plus a sparse
 // distant helix, so some octree leaves interact with far more near
 // neighbors than others — dynamic balancing should even out per-rank
-// work better than static segments.
+// work better than static segments. Which rank receives a chunk follows
+// request arrival, so the claim is checked on a replay of the
+// coordinator's grant sequence (replayDynamic) rather than on a
+// scheduled run; a real Dynamic run must still reproduce the static
+// energy and the replay's total work.
 func TestRunMPIDynamicBalancesSkew(t *testing.T) {
 	dense := molecule.Exactly(molecule.Globule("dense", 2200, 5), 2200, 5)
 	sparse := molecule.Helix("sparse", 800, 6).ApplyTransform(
@@ -81,28 +85,75 @@ func TestRunMPIDynamicBalancesSkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Chunk assignment depends on request arrival order (goroutine
-	// scheduling), so take the best of a few dynamic runs: the claim is
-	// that on-demand chunks CAN balance a skewed workload better than
-	// static segments ever do.
-	var dynamic *Result
-	for attempt := 0; attempt < 3; attempt++ {
-		d, err := sys.Run(RunSpec{Processes: computeRanks + 1, Scheme: Dynamic}) // + coordinator
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dynamic == nil || imbalanceOf(d.PerCoreOps) < imbalanceOf(dynamic.PerCoreOps) {
-			dynamic = d
-		}
-	}
-	si := imbalanceOf(static.PerCoreOps)
-	di := imbalanceOf(dynamic.PerCoreOps)
-	if di >= si {
-		t.Errorf("dynamic imbalance %.3f not below static %.3f", di, si)
+	dynamic, err := sys.Run(RunSpec{Processes: computeRanks + 1, Scheme: Dynamic}) // + coordinator
+	if err != nil {
+		t.Fatal(err)
 	}
 	if math.Abs(dynamic.Epol-static.Epol)/math.Abs(static.Epol) > 1e-12 {
 		t.Errorf("energies differ: %v vs %v", dynamic.Epol, static.Epol)
 	}
+	replay := replayDynamic(sys, static.Born, computeRanks)
+	total := int64(0)
+	for _, o := range replay {
+		total += o
+	}
+	if total != dynamic.TotalOps() {
+		t.Errorf("replay covers %d ops, the Dynamic run did %d", total, dynamic.TotalOps())
+	}
+	si := imbalanceOf(static.PerCoreOps)
+	di := imbalanceOf(replay)
+	t.Logf("imbalance: static %.3f, replayed dynamic %.3f", si, di)
+	if di >= si {
+		t.Errorf("dynamic imbalance %.3f not below static %.3f", di, si)
+	}
+}
+
+// replayDynamic replays a Dynamic run of sys over the given compute
+// ranks on a virtual clock and returns each rank's op count. In the
+// integral and energy phases the coordinator's grant sequence
+// (grantSize) is handed out in order, each chunk to the rank with the
+// least accumulated ops in the phase (ties to the lowest rank): the
+// request order of ranks that spend their grants at one op per tick. A
+// chunk costs its leaves' op counts; the radii phase keeps static
+// segments, as in the driver.
+func replayDynamic(sys *System, radii []float64, workers int) []int64 {
+	bp := sys.bornPass(sys.q)
+	acc := sys.newBornAccum()
+	bornCost := make([]int64, len(sys.qLeaves))
+	for i := range bornCost {
+		bornCost[i] = bp.leaves(sys.qLeaves[i:i+1], acc)
+	}
+	agg := sys.buildEpolAggregates(radii)
+	epolCost := make([]int64, len(sys.aLeaves))
+	for i := range epolCost {
+		_, epolCost[i] = sys.epolPass(agg, agg, nil).leaves(sys.aLeaves[i : i+1])
+	}
+	total := make([]int64, workers)
+	for _, costs := range [][]int64{bornCost, epolCost} {
+		load := make([]int64, workers)
+		for next := 0; next < len(costs); {
+			w := 0
+			for r := range load {
+				if load[r] < load[w] {
+					w = r
+				}
+			}
+			hi := min(next+grantSize(len(costs)-next, workers), len(costs))
+			for _, c := range costs[next:hi] {
+				load[w] += c
+			}
+			next = hi
+		}
+		for r, l := range load {
+			total[r] += l
+		}
+	}
+	scratch := make([]float64, sys.NumAtoms())
+	for r := range total {
+		lo, hi := segment(sys.NumAtoms(), workers, r)
+		total[r] += sys.PushIntegralsToAtoms(acc, lo, hi, scratch)
+	}
+	return total
 }
 
 // imbalanceOf is max/mean over the non-idle cores.

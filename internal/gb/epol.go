@@ -140,20 +140,20 @@ func (s *System) buildEpolAggregatesRange(radii []float64, rmin, rmax float64) *
 	if agg.order == OrderQuadrupole {
 		agg.quad = make([]geom.Mat3, s.TA.NumNodes()*agg.M)
 	}
+	agg.tree = s.TA
+	agg.q = make([]float64, len(s.TA.Items))
+	agg.r = make([]float64, len(s.TA.Items))
+	agg.p = make([]geom.Vec3, len(s.TA.Items))
+	for i, ai := range s.TA.Items {
+		agg.q[i] = s.Mol.Atoms[ai].Charge
+		agg.r[i] = radii[ai]
+		agg.p[i] = s.atomPos[ai]
+	}
 	for i := s.TA.NumNodes() - 1; i >= 0; i-- {
 		n := &s.TA.Nodes[i]
 		base := i * agg.M
 		if n.Leaf {
-			for _, ai := range s.TA.ItemsOf(int32(i)) {
-				k := agg.classOf[ai]
-				q := s.Mol.Atoms[ai].Charge
-				agg.hist[base+k] += q
-				agg.dip[base+k] = agg.dip[base+k].Add(s.atomPos[ai].Sub(n.Center).Scale(q))
-				if agg.quad != nil {
-					m := s.atomPos[ai].Sub(n.Center)
-					addOuter(&agg.quad[base+k], m.Scale(q), m)
-				}
-			}
+			agg.addMoments(base, agg, n.Start, n.End, n.Center)
 			continue
 		}
 		for _, c := range n.Children {
@@ -185,36 +185,39 @@ func (s *System) buildEpolAggregatesRange(radii []float64, rmin, rmax float64) *
 			}
 		}
 	}
-	agg.tree = s.TA
-	agg.q = make([]float64, len(s.TA.Items))
-	agg.r = make([]float64, len(s.TA.Items))
-	agg.p = make([]geom.Vec3, len(s.TA.Items))
-	for i, ai := range s.TA.Items {
-		agg.q[i] = s.Mol.Atoms[ai].Charge
-		agg.r[i] = radii[ai]
-		agg.p[i] = s.atomPos[ai]
-	}
-	agg.clsAt = make([]int32, s.TA.NumNodes()+1)
+	agg.clsAt = make([]int32, 1, s.TA.NumNodes()+1)
+	agg.cls = make([]int32, 0, s.TA.NumNodes())
 	for n := 0; n < s.TA.NumNodes(); n++ {
-		cnt := int32(0)
-		for k := 0; k < agg.M; k++ {
-			if agg.nonEmpty(n*agg.M + k) {
-				cnt++
-			}
-		}
-		agg.clsAt[n+1] = agg.clsAt[n] + cnt
-	}
-	agg.cls = make([]int32, agg.clsAt[s.TA.NumNodes()])
-	for n := 0; n < s.TA.NumNodes(); n++ {
-		at := agg.clsAt[n]
-		for k := 0; k < agg.M; k++ {
-			if agg.nonEmpty(n*agg.M + k) {
-				agg.cls[at] = int32(k)
-				at++
-			}
-		}
+		agg.cls = agg.appendClasses(agg.cls, n*agg.M)
+		agg.clsAt = append(agg.clsAt, int32(len(agg.cls)))
 	}
 	return agg
+}
+
+// addMoments accumulates the class moments of src's item slots [lo, hi)
+// about center into agg's slots base+k, in item order.
+func (agg *epolAggregates) addMoments(base int, src *epolAggregates, lo, hi int32, center geom.Vec3) {
+	for a := lo; a < hi; a++ {
+		k := base + src.classOf[src.tree.Items[a]]
+		q := src.q[a]
+		m := src.p[a].Sub(center)
+		agg.hist[k] += q
+		agg.dip[k] = agg.dip[k].Add(m.Scale(q))
+		if agg.quad != nil {
+			addOuter(&agg.quad[k], m.Scale(q), m)
+		}
+	}
+}
+
+// appendClasses appends to dst, in ascending order, the classes of the
+// node at slot base that carry a non-empty moment.
+func (agg *epolAggregates) appendClasses(dst []int32, base int) []int32 {
+	for k := 0; k < agg.M; k++ {
+		if agg.nonEmpty(base + k) {
+			dst = append(dst, int32(k))
+		}
+	}
+	return dst
 }
 
 // nonEmpty reports whether histogram slot node·M+k carries a non-zero
@@ -287,6 +290,11 @@ func (t *pairTally) addFar(n int64) {
 	}
 }
 
+func (t *pairTally) add(o pairTally) {
+	t.near += o.near
+	t.far += o.far
+}
+
 // epolPass is Fig. 3's APPROX-Epol(U, V): the raw pair sum
 // Σ q_u q_v / f_GB between the atoms under node U of src's tree and the
 // atoms under leaf V of dst's tree, approximated by class histograms when
@@ -296,11 +304,29 @@ func (t *pairTally) addFar(n int64) {
 // sets must share their radius range (buildEpolAggregatesRange), so both
 // have the same M and product table. A pass is single-goroutine: it owns
 // the far-field scratch.
+//
+// The targets may be clipped to a dst item range [lo, hi) (within), the
+// atom-based work division of §IV. A leaf that straddles an edge keeps
+// its ball for the far test but contributes only its owned atoms: their
+// rows in the near and self blocks, and their class moments about the
+// leaf centre in the far field. Over a partition of the items the
+// clipped walks sum to the whole walk.
 type epolPass struct {
 	src, dst *epolAggregates
 	factor   float64
 	approx   bool
 	tally    *pairTally
+	lo, hi   int32
+	// The target in flight (see target): its owned dst slots [vlo, vhi),
+	// the aggregate set and slot base its class moments sit at, and its
+	// non-empty class list. A whole leaf reads dst's own slots; a clipped
+	// one reads part, a one-node aggregate set of the owned atoms'
+	// moments.
+	vlo, vhi int32
+	tgt      *epolAggregates
+	tbase    int
+	vc       []int32
+	part     *epolAggregates
 	// Per-k accumulators of the far-field convolution, k = i+j ∈ [0, 2M):
 	// charge products, dipole cross terms and the p = 2 contractions.
 	c0, c1, a2, b2 []float64
@@ -314,29 +340,72 @@ type epolPass struct {
 // system's far criterion and math mode.
 func (s *System) epolPass(src, dst *epolAggregates, tally *pairTally) *epolPass {
 	m := src.M
-	buf := make([]float64, 12*m)
+	buf := make([]float64, 13*m)
+	dips := make([]geom.Vec3, 2*m)
+	part := &epolAggregates{M: m, order: dst.order, hist: buf[12*m:], dip: dips[m:], cls: make([]int32, 0, m)}
+	if dst.quad != nil {
+		part.quad = make([]geom.Mat3, m)
+	}
 	return &epolPass{
 		src: src, dst: dst,
 		factor: s.epolFactor(),
 		approx: s.Params.Math == ApproxMath,
 		tally:  tally,
+		hi:     int32(len(dst.q)),
+		part:   part,
 		c0:     buf[0 : 2*m], c1: buf[2*m : 4*m], a2: buf[4*m : 6*m], b2: buf[6*m : 8*m],
 		vq: buf[8*m : 9*m], vd: buf[9*m : 10*m], vA: buf[10*m : 11*m], vT: buf[11*m : 12*m],
-		vDip: make([]geom.Vec3, m),
+		vDip: dips[:m],
 	}
 }
 
+// within clips the pass's targets to the dst item range [lo, hi).
+func (ep *epolPass) within(lo, hi int) *epolPass {
+	ep.lo, ep.hi = int32(lo), int32(hi)
+	return ep
+}
+
 // leaves runs the pass from src's root against each target leaf in
-// order, returning the raw sum and the evaluation count.
+// order, returning the raw sum and the evaluation count. Leaves outside
+// the clip range contribute nothing.
 func (ep *epolPass) leaves(vs []int32) (float64, int64) {
 	sum := 0.0
 	ops := int64(0)
 	for _, v := range vs {
+		if !ep.target(v) {
+			continue
+		}
 		s, o := ep.run(ep.src.tree.Root(), v)
 		sum += s
 		ops += o
 	}
 	return sum, ops
+}
+
+// target makes leaf v, clipped to the pass's item range, the target of
+// the walk. It reports false when the leaf lies outside the range.
+func (ep *epolPass) target(v int32) bool {
+	dst := ep.dst
+	vn := &dst.tree.Nodes[v]
+	ep.vlo, ep.vhi = max(vn.Start, ep.lo), min(vn.End, ep.hi)
+	if ep.vlo >= ep.vhi {
+		return false
+	}
+	if ep.vlo == vn.Start && ep.vhi == vn.End {
+		ep.tgt, ep.tbase = dst, int(v)*dst.M
+		ep.vc = dst.cls[dst.clsAt[v]:dst.clsAt[v+1]]
+		return true
+	}
+	// A clipped leaf: the owned atoms' class moments about the leaf
+	// centre, accumulated as buildEpolAggregatesRange accumulates a leaf.
+	pt := ep.part
+	clear(pt.hist)
+	clear(pt.dip)
+	clear(pt.quad)
+	pt.addMoments(0, dst, ep.vlo, ep.vhi, vn.Center)
+	pt.cls = pt.appendClasses(pt.cls[:0], 0)
+	ep.tgt, ep.tbase, ep.vc = pt, 0, pt.cls
+	return true
 }
 
 // run is the recursion of APPROX-Epol(U, V) for target leaf v.
@@ -351,7 +420,7 @@ func (ep *epolPass) run(u, v int32) (float64, int64) {
 	// radii) while still close on the f_GB scale √(R_iR_j), where binned
 	// radii misprice the kernel.
 	if !un.Leaf && epolFar(d, un.Radius, vn.Radius, ep.factor) {
-		return ep.farClassSum(u, v, d, vn.Center.Sub(un.Center))
+		return ep.farClassSum(u, d, vn.Center.Sub(un.Center))
 	}
 	if un.Leaf {
 		return ep.near(u, v)
@@ -369,10 +438,11 @@ func (ep *epolPass) run(u, v int32) (float64, int64) {
 }
 
 // near evaluates the leaf block (U, V) exactly: ordered pairs (u-atom,
-// v-atom). In a same-tree pass the block is symmetric in U and V, so when
-// U's own walk also reaches V exactly (mirrored) the pair of blocks is
-// evaluated once, at the higher leaf index with weight 2, and skipped at
-// the lower one. U == V sums i < j doubled plus the self terms q_i²/R_i.
+// owned v-atom). In a same-tree pass the block is symmetric in U and V,
+// so when U's own walk also reaches V exactly (mirrored) the pair of
+// blocks is evaluated once, at the higher leaf index with weight 2, and
+// skipped at the lower one. U == V sums the owned rows' pairs with the
+// later atoms of the leaf, doubled, plus their self terms q_i²/R_i.
 func (ep *epolPass) near(u, v int32) (float64, int64) {
 	w := 1.0
 	if ep.src == ep.dst {
@@ -388,7 +458,7 @@ func (ep *epolPass) near(u, v int32) (float64, int64) {
 			w = 2
 		}
 	}
-	sum, ops := ep.block(&ep.src.tree.Nodes[u], &ep.dst.tree.Nodes[v])
+	sum, ops := ep.block(&ep.src.tree.Nodes[u])
 	ep.tally.addNear(ops)
 	return w * sum, ops
 }
@@ -409,29 +479,30 @@ func (ep *epolPass) mirrored(u, v int32) bool {
 	return true
 }
 
-// block sums q_a q_b / f_GB over the atoms a under un (src) and b under
-// vn (dst), in item order.
-func (ep *epolPass) block(un, vn *octree.Node) (float64, int64) {
+// block sums q_a q_b / f_GB over the atoms a under un (src) and the
+// target's owned atoms b, in item order.
+func (ep *epolPass) block(un *octree.Node) (float64, int64) {
 	src := ep.src
-	dq, dr, dp := ep.dst.q[vn.Start:vn.End], ep.dst.r[vn.Start:vn.End], ep.dst.p[vn.Start:vn.End]
+	dq, dr, dp := ep.dst.q[ep.vlo:ep.vhi], ep.dst.r[ep.vlo:ep.vhi], ep.dst.p[ep.vlo:ep.vhi]
 	sum := 0.0
 	for a := un.Start; a < un.End; a++ {
 		sum += ep.row(src.q[a], src.r[a], src.p[a], dq, dr, dp)
 	}
-	return sum, int64(un.Count()) * int64(vn.Count())
+	return sum, int64(un.Count()) * int64(len(dq))
 }
 
-// selfBlock sums a leaf against itself: the self terms plus the pairs
-// i < j doubled.
+// selfBlock sums the target leaf n against itself: each owned atom's self
+// term plus its pairs with the leaf's later atoms, doubled. Over a whole
+// leaf that is every pair i < j once.
 func (ep *epolPass) selfBlock(n *octree.Node) (float64, int64) {
-	q, r, p := ep.src.q[n.Start:n.End], ep.src.r[n.Start:n.End], ep.src.p[n.Start:n.End]
+	q, r, p := ep.src.q[:n.End], ep.src.r[:n.End], ep.src.p[:n.End]
 	self, pairs := 0.0, 0.0
-	for a := range q {
+	for a := ep.vlo; a < ep.vhi; a++ {
 		self += q[a] * q[a] / r[a]
 		pairs += ep.row(q[a], r[a], p[a], q[a+1:], r[a+1:], p[a+1:])
 	}
-	c := int64(n.Count())
-	return self + 2*pairs, c + c*(c-1)/2
+	c, later := int64(ep.vhi-ep.vlo), int64(n.End-ep.vhi)
+	return self + 2*pairs, c + c*later + c*(c-1)/2
 }
 
 // row sums q_a q_b / f_GB(r_ab²; R_aR_b) of one atom a against the atoms
@@ -454,8 +525,9 @@ func (ep *epolPass) row(qa, ra float64, pa geom.Vec3, q, r []float64, p []geom.V
 	return sum
 }
 
-// farClassSum evaluates the far-field interaction of node pair (U, V) at
-// center distance d (direction vector dvec = c_V − c_U): over every
+// farClassSum evaluates the far-field interaction of source node U with
+// the target in flight (see target) at center distance d (direction
+// vector dvec = c_V − c_U of the target leaf's centre): over every
 // non-empty Born-radius class pair (i, j), the order-p expansion of
 // g(|d·d̂ + δ|) about δ = 0, with δ = m_v − m_u the pair offset and
 // g(r) = 1/f_GB(r; R_iR_j ≈ Rmin²(1+ε)^(i+j+1)):
@@ -472,10 +544,10 @@ func (ep *epolPass) row(qa, ra float64, pa geom.Vec3, q, r []float64, p []geom.V
 // bracketed moment products are first convolved into per-k accumulators
 // and the kernel (one exp and one sqrt) is evaluated once per non-empty
 // k. Returns (raw sum, kernel evaluations).
-func (ep *epolPass) farClassSum(u, v int32, d float64, dvec geom.Vec3) (float64, int64) {
-	src, dst := ep.src, ep.dst
+func (ep *epolPass) farClassSum(u int32, d float64, dvec geom.Vec3) (float64, int64) {
+	src, dst := ep.src, ep.tgt
 	uc := src.cls[src.clsAt[u]:src.clsAt[u+1]]
-	vc := dst.cls[dst.clsAt[v]:dst.clsAt[v+1]]
+	vc := ep.vc
 	if len(uc) == 0 || len(vc) == 0 {
 		ep.tally.addFar(1)
 		return 0, 1
@@ -483,7 +555,7 @@ func (ep *epolPass) farClassSum(u, v int32, d float64, dvec geom.Vec3) (float64,
 	ord := src.order
 	r2 := d * d
 	dhat := dvec.Scale(1 / d)
-	ubase, vbase := int(u)*src.M, int(v)*dst.M
+	ubase, vbase := int(u)*src.M, ep.tbase
 	vq, vd, vA, vT, vDip := ep.vq[:len(vc)], ep.vd[:len(vc)], ep.vA[:len(vc)], ep.vT[:len(vc)], ep.vDip[:len(vc)]
 	for jj, j := range vc {
 		slot := vbase + int(j)

@@ -5,28 +5,9 @@ import (
 	"testing"
 
 	"gbpolar/internal/gb"
-	"gbpolar/internal/geom"
-	"gbpolar/internal/molecule"
 	"gbpolar/internal/surface"
 	"gbpolar/internal/tune"
 )
-
-// fuzzMolecule decodes up to 32 atoms, five bytes each: x, y, z as signed
-// bytes in 0.75 Å steps (a ±96 Å box, wide enough for far node pairs),
-// radius 1–3 Å and charge in [−1, 1].
-func fuzzMolecule(data []byte) *molecule.Molecule {
-	m := &molecule.Molecule{Name: "fuzz"}
-	for len(data) >= 5 && len(m.Atoms) < 32 {
-		b := data[:5]
-		data = data[5:]
-		m.Atoms = append(m.Atoms, molecule.Atom{
-			Pos:    geom.V(0.75*float64(int8(b[0])), 0.75*float64(int8(b[1])), 0.75*float64(int8(b[2]))),
-			Radius: 1 + float64(b[3])/128,
-			Charge: float64(b[4])/127.5 - 1,
-		})
-	}
-	return m
-}
 
 // FuzzEpolVsNaive checks the octree energy pass against the exact O(M²)
 // oracle on fuzz-generated molecules, both evaluated on the same radii
@@ -47,7 +28,7 @@ func FuzzEpolVsNaive(f *testing.F) {
 	}
 	f.Add(clusters)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m := fuzzMolecule(data)
+		m := gb.DecodeFuzzMolecule(data)
 		if len(m.Atoms) == 0 {
 			return
 		}

@@ -442,7 +442,8 @@ func TestFarClassSumMatchesPairwise(t *testing.T) {
 					un, vn := &ep.src.tree.Nodes[u], &ep.dst.tree.Nodes[v]
 					d := un.Center.Dist(vn.Center)
 					dvec := vn.Center.Sub(un.Center)
-					got, _ := ep.farClassSum(u, v, d, dvec)
+					ep.target(v)
+					got, _ := ep.farClassSum(u, d, dvec)
 					want, mass := refFarClassSum(ep.src, ep.dst, u, v, d, dvec, ep.approx)
 					if mass == 0 {
 						if got != 0 {
@@ -502,6 +503,29 @@ func TestSymmetricNearFieldMatchesOrderedPairs(t *testing.T) {
 		want := refEpolSum(ep)
 		if rel := relDiff(got, want); rel > 1e-12 {
 			t.Errorf("%s: symmetric %v vs ordered %v (rel %.3g)", tc.name, got, want, rel)
+		}
+	}
+}
+
+// TestClippedEpolSumsToWhole cuts a roster molecule's atoms into P equal
+// item ranges, the atom division's shares, and checks that the clipped
+// walks sum to the whole walk at every order and math mode.
+func TestClippedEpolSumsToWhole(t *testing.T) {
+	for _, order := range []int{OrderMonopole, OrderDipole, OrderQuadrupole} {
+		for _, mode := range []MathMode{ExactMath, ApproxMath} {
+			s, radii := rosterSystem(t, 10, order, mode, geom.IdentityTransform(), 0)
+			agg := s.buildEpolAggregates(radii)
+			whole, _ := s.epolPass(agg, agg, nil).leaves(s.aLeaves)
+			for _, P := range []int{1, 2, 3, 5, 7, 12, 13} {
+				cuts := []int{0}
+				for r := 0; r < P; r++ {
+					_, hi := segment(s.NumAtoms(), P, r)
+					cuts = append(cuts, hi)
+				}
+				if rel := relDiff(clippedEpolSum(s, agg, cuts), whole); rel > 1e-12 {
+					t.Errorf("p=%d %v P=%d: clipped sum off the whole walk by %.3g", order, mode, P, rel)
+				}
+			}
 		}
 	}
 }

@@ -110,14 +110,16 @@ func TestCrashDegradeHonestBound(t *testing.T) {
 	}
 }
 
-// TestCrashDegradeSymmetricBound kills the rank owning the highest-index
-// leaves during the energy phase. Under the symmetric near field those
-// leaves carry, doubled, the mirror blocks of their lower-index (live)
-// neighbors, so the missing energy exceeds the one-sided anchored mass.
-// The molecule is built to make that visible: a sparse grid of like
-// charges (no cancellation, Born radii near the intrinsic ones) whose
-// pairs are nearly all near. The bound must still contain the deficit;
-// with degradedBound's cross term left undoubled it would not.
+// TestCrashDegradeSymmetricBound kills the rank owning the highest leaves
+// (node division) or the highest atom range (atom division) during the
+// energy phase. Under the symmetric near field that share carries,
+// doubled, the mirror blocks of its lower-index (live) neighbors — and
+// under the atom division a clipped leaf's owned rows against the leaf's
+// later atoms — so the missing energy exceeds the one-sided anchored
+// mass. The molecule is built to make that visible: a sparse grid of
+// like charges (no cancellation, Born radii near the intrinsic ones)
+// whose pairs are nearly all near. The bound must still contain the
+// deficit; with degradedBound's cross term left undoubled it would not.
 func TestCrashDegradeSymmetricBound(t *testing.T) {
 	var atoms []molecule.Atom
 	for i := 0; i < 6; i++ {
@@ -129,26 +131,37 @@ func TestCrashDegradeSymmetricBound(t *testing.T) {
 			}
 		}
 	}
-	s := newTestSystem(t, &molecule.Molecule{Name: "grid", Atoms: atoms}, surface.DefaultConfig(), DefaultParams())
-	serial := mustRun(t, s, RunSpec{})
-	const P, dead = 4, 3 // rank P−1 owns the last leaf range
-	plan := &fault.Plan{Events: []fault.Event{{Kind: fault.Crash, Rank: dead, AtOp: 7}}}
-	r, err := s.Run(RunSpec{Processes: P, Faults: &FaultConfig{Plan: plan, Policy: Degrade}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Degraded || len(r.LostRanks) != 1 || r.LostRanks[0] != dead {
-		t.Fatalf("Degraded=%v LostRanks=%v, want degraded with rank %d lost", r.Degraded, r.LostRanks, dead)
-	}
-	miss := math.Abs(r.Epol - serial.Epol)
-	if miss > r.ErrorBound {
-		t.Errorf("|Epol−serial| = %v exceeds ErrorBound %v", miss, r.ErrorBound)
-	}
-	// The scenario must exercise the doubling: the one-sided bound of the
-	// dead share falls short of the deficit.
-	lo, hi := liveShare(len(s.aLeaves), []int{0, 1, 2, 3}, nil, dead)
-	if oneSided := s.degradedBound(s.shareAtomsNodeNode(lo, hi), false); miss <= oneSided {
-		t.Errorf("deficit %v within the undoubled bound %v: the test no longer covers the mirror blocks", miss, oneSided)
+	for _, div := range []Division{NodeNode, AtomNode} {
+		t.Run(div.String(), func(t *testing.T) {
+			params := DefaultParams()
+			params.Division = div
+			s := newTestSystem(t, &molecule.Molecule{Name: "grid", Atoms: atoms}, surface.DefaultConfig(), params)
+			serial := mustRun(t, s, RunSpec{})
+			const P, dead = 4, 3 // rank P−1 owns the last share
+			plan := &fault.Plan{Events: []fault.Event{{Kind: fault.Crash, Rank: dead, AtOp: 7}}}
+			r, err := s.Run(RunSpec{Processes: P, Faults: &FaultConfig{Plan: plan, Policy: Degrade}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !r.Degraded || len(r.LostRanks) != 1 || r.LostRanks[0] != dead {
+				t.Fatalf("Degraded=%v LostRanks=%v, want degraded with rank %d lost", r.Degraded, r.LostRanks, dead)
+			}
+			miss := math.Abs(r.Epol - serial.Epol)
+			if miss > r.ErrorBound {
+				t.Errorf("|Epol−serial| = %v exceeds ErrorBound %v", miss, r.ErrorBound)
+			}
+			// The scenario must exercise the doubling: the one-sided bound
+			// of the dead share falls short of the deficit.
+			all := []int{0, 1, 2, 3}
+			lo, hi := liveShare(s.NumAtoms(), all, nil, dead)
+			if div == NodeNode {
+				l0, l1 := liveShare(len(s.aLeaves), all, nil, dead)
+				lo, hi = int(s.TA.Nodes[s.aLeaves[l0]].Start), int(s.TA.Nodes[s.aLeaves[l1-1]].End)
+			}
+			if oneSided := s.degradedBound(s.TA.Items[lo:hi], false); miss <= oneSided {
+				t.Errorf("deficit %v within the undoubled bound %v: the test no longer covers the mirror blocks", miss, oneSided)
+			}
+		})
 	}
 }
 

@@ -252,11 +252,12 @@ const boundSlack = 1.25
 // anchored at the given atoms (the V-side terms a lost rank's share would
 // have produced): 0.5·τ·C·Σ_{v}[q_v²/ρ_v + w·Σ_{j≠v}|q_j q_v|/f_GB(r²;
 // ρ_jρ_v)], evaluated at intrinsic radii ρ (see the monotonicity argument
-// at the top of this file). The cross weight w is 2 when the share was a
-// range of leaves of the symmetric whole-tree walk: a leaf there also
-// carries, doubled, the mirror block (v, u) of a near neighbor u whose own
-// walk skipped it, i.e. terms anchored at atoms outside the share. It is 1
-// for an atom range (AtomNode) or a Segmented segment, whose symmetric
+// at the top of this file). The cross weight w is 2 when the share was an
+// item range of the symmetric whole-tree walk, under either division: a
+// target there also carries, doubled, the mirror block (v, u) of a near
+// neighbor u whose own walk skipped it, and a clipped leaf's owned rows
+// pair with the leaf's later atoms doubled — terms anchored at atoms
+// outside the share. It is 1 for a Segmented segment, whose symmetric
 // blocks never leave the segment. O(|atoms|·N) — the price of an honest
 // bound.
 func (s *System) degradedBound(atoms []int32, mirrored bool) float64 {
@@ -280,20 +281,4 @@ func (s *System) degradedBound(atoms []int32, mirrored bool) float64 {
 		}
 	}
 	return boundSlack * 0.5 * Tau(s.Params.EpsSolvent) * CoulombKcal * (self + w*cross)
-}
-
-// shareAtomsNodeNode lists the atoms inside the atom-leaf range
-// [lo, hi) of s.aLeaves — the V-side atoms of a NodeNode energy share.
-func (s *System) shareAtomsNodeNode(lo, hi int) []int32 {
-	out := make([]int32, 0, (hi-lo)*s.Params.LeafAtoms)
-	for _, v := range s.aLeaves[lo:hi] {
-		out = append(out, s.TA.ItemsOf(v)...)
-	}
-	return out
-}
-
-// shareAtomsAtomNode lists the atoms of the octree-position range
-// [lo, hi) — the V-side atoms of an AtomNode energy share.
-func (s *System) shareAtomsAtomNode(lo, hi int) []int32 {
-	return s.TA.Items[lo:hi]
 }

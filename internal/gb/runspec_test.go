@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -93,7 +94,8 @@ func bornDigest(radii []float64) uint64 {
 }
 
 // TestBornCallSitesPinned pins every caller of the Born traversal to
-// exact bits: the AtomNode range walk, the monopole and quadrupole far
+// exact bits: the AtomNode range walk (whose energy phase runs the
+// clipped-target epolPass), the monopole and quadrupole far
 // fields (serial, distributed and Segmented), the r⁴ integral form, the
 // approximate-math kernels, the docking Complex at p = 0/1/2, BornRadii
 // and the naive oracles. Like TestRunMatchesLegacyWrappers, a changed
@@ -121,8 +123,8 @@ func TestBornCallSitesPinned(t *testing.T) {
 		epol, born uint64
 		ops        int64
 	}{
-		{"atomnode-mpi", atomNode, RunSpec{Processes: 3}, 0xc08927f269d820ad, 0x80424632bb86c002, 507678},
-		{"atomnode-hybrid", atomNode, RunSpec{Processes: 2, ThreadsPerProcess: 2}, 0xc08927e7fe15b9ee, 0xcf86b33ba62eeb7b, 501325},
+		{"atomnode-mpi", atomNode, RunSpec{Processes: 3}, 0xc0896e9417d13c79, 0x80424632bb86c002, 439356},
+		{"atomnode-hybrid", atomNode, RunSpec{Processes: 2, ThreadsPerProcess: 2}, 0xc0896e928069db3e, 0xcf86b33ba62eeb7b, 432953},
 		{"p0-serial", monopole, RunSpec{}, 0xc0897336b889b63a, 0x042cec832f586fdc, 637468},
 		{"p2-serial", quad, RunSpec{}, 0xc089567de86f9eb5, 0xf1740d23c9618d0a, 341473},
 		{"p2-mpi", quad, RunSpec{Processes: 3}, 0xc089567de86f9ebb, 0xfc30ee4a39703191, 341515},
@@ -375,6 +377,35 @@ func TestSummaryDeterministic(t *testing.T) {
 	} {
 		if !strings.Contains(a, want) {
 			t.Errorf("summary lacks %q:\n%s", want, a)
+		}
+	}
+}
+
+// TestPairCountersSameAcrossSchemes checks that every distributed scheme
+// publishes the same pair-split metrics: the four pairs.* work-done
+// counters and their four ".rank" histograms.
+func TestPairCountersSameAcrossSchemes(t *testing.T) {
+	s := buildSys(t, 400, DefaultParams())
+	names := func(scheme Scheme) []string {
+		rec := obs.NewRecorder(perf.StartTimer().Elapsed)
+		mustRun(t, s, RunSpec{Processes: 3, Scheme: scheme, Obs: rec})
+		var out []string
+		for _, line := range strings.Split(rec.Summary(), "\n") {
+			f := strings.Fields(line)
+			if len(f) >= 2 && (f[0] == "counter" || f[0] == "hist") && strings.HasPrefix(f[1], "pairs.") {
+				out = append(out, f[0]+" "+f[1])
+			}
+		}
+		slices.Sort(out)
+		return out
+	}
+	want := names(Replicated)
+	if len(want) != 8 {
+		t.Fatalf("Replicated publishes %d pair metrics, want 8: %v", len(want), want)
+	}
+	for _, sc := range []Scheme{Dynamic, Segmented} {
+		if got := names(sc); !slices.Equal(got, want) {
+			t.Errorf("%v publishes %v, Replicated %v", sc, got, want)
 		}
 	}
 }

@@ -362,12 +362,6 @@ func (s *System) NumAtoms() int { return s.Mol.NumAtoms() }
 // NumQPoints returns the quadrature-point count.
 func (s *System) NumQPoints() int { return s.Surf.NumPoints() }
 
-// QLeaves returns the quadrature-octree leaves in work-division order.
-func (s *System) QLeaves() []int32 { return s.qLeaves }
-
-// ALeaves returns the atoms-octree leaves in work-division order.
-func (s *System) ALeaves() []int32 { return s.aLeaves }
-
 // DataBytes estimates the memory of one copy of the system's working set
 // (the quantity each distributed rank replicates), for the performance
 // model.
